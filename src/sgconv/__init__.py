@@ -22,7 +22,7 @@ from .pipeline import (PruneSchedule, TrainConfig, evaluate, run_algorithm1,
                        sgd_finetune)
 from .pruning import (SortedCentroids, build_sorted_centroids,
                       compression_ratio_layer, compression_ratio_network,
-                      mask_dead_fraction, model_dead_fraction, pruned_elements,
-                      select_and_prune)
+                      mask_dead_fraction, model_dead_fraction, prune_to_ratio,
+                      pruned_elements, select_and_prune)
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 Exit codes: 0 ok, 2 usage/input error, 3 verification failure (a deploy
 that fails its equivalence self-check or finds a corrupt mask). All
-commands are deterministic for a fixed --seed; SG_THREADS caps the
-worker threads the sweep may use (default 1).
+commands are deterministic for a fixed --seed.
 """
 from __future__ import annotations
 
@@ -11,9 +10,7 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .data import load_dataset
@@ -21,7 +18,8 @@ from .deploy import (EquivalenceError, GranularityError, convert_model, count_fl
                      count_params, infer_input_shape, verify_equivalence)
 from .io import ModelFormatError, load_model, save_model, sgm_paths
 from .pipeline import PruneSchedule, evaluate, run_algorithm1
-from .pruning import compression_ratio_network, model_dead_fraction, model_ratio_items
+from .pruning import (compression_ratio_network, mask_dead_fraction, model_dead_fraction,
+                      model_ratio_items)
 
 SWEEP_SCHEMA_VERSION = 1
 
@@ -104,7 +102,7 @@ def cmd_report(args) -> int:
     for layer in model.layers:
         entry = {"name": layer.name, "kind": layer.kind}
         if layer.kind in ("conv2d", "fc"):
-            entry["dead_fraction"] = float((~layer.mask).sum() / layer.mask.size)
+            entry["dead_fraction"] = mask_dead_fraction(layer.mask)
             entry["compress"] = layer.compress
         elif layer.kind == "groupconv":
             entry["groups"] = len(layer.groups)
@@ -162,30 +160,20 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"unknown scope {scope!r} (want both, conv or fc)")
     cells = list(itertools.product(groups_grid, steps_grid, scopes_grid, seeds_grid))
 
-    def run(cell):
-        groups, step, scope, seed = cell
-        try:
-            return _sweep_cell(model, dataset, test_set, args, groups, step, scope, seed)
-        except Exception as exc:  # per-cell failures must not abort the sweep
-            return {"status": f"error: {exc}", "conv_ratio": "", "fc_ratio": "",
-                    "network_ratio": "", "top1": "", "top5": ""}
-
-    workers = max(1, int(os.environ.get("SG_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
-
     fields = ["schema_version", "groups", "step", "scope", "seed", "status",
               "conv_ratio", "fc_ratio", "network_ratio", "top1", "top5"]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for (groups, step, scope, seed), result in zip(cells, results):
+        for groups, step, scope, seed in cells:
             row = {"schema_version": SWEEP_SCHEMA_VERSION, "groups": groups,
                    "step": step, "scope": scope, "seed": seed}
-            row.update(result)
+            try:
+                row.update(_sweep_cell(model, dataset, test_set, args,
+                                       groups, step, scope, seed))
+            except Exception as exc:  # per-cell failures must not abort the sweep
+                row.update(status=f"error: {exc}", conv_ratio="", fc_ratio="",
+                           network_ratio="", top1="", top5="")
             writer.writerow(row)
     print(f"wrote {args.out} ({len(cells)} rows)")
     return 0

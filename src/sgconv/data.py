@@ -13,6 +13,7 @@ float32):
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -46,13 +47,22 @@ def load_dataset(path) -> Dataset:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a dataset file (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated dataset header")
     count, num_classes, ndim = struct.unpack_from("<3i", raw, 4)
-    dims = struct.unpack_from(f"<{ndim}i", raw, 16)
+    if min(count, num_classes, ndim) < 0:
+        raise ValueError(f"{path}: negative count, num_classes or ndim in dataset header")
     offset = 16 + 4 * ndim
-    feat_len = count * int(np.prod(dims)) * 4
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated dataset header")
+    dims = struct.unpack_from(f"<{ndim}i", raw, 16)
+    if min(dims, default=0) < 0:
+        raise ValueError(f"{path}: negative dims {dims} in dataset header")
+    size = math.prod(dims)
+    feat_len = count * size * 4
     if len(raw) < offset + feat_len + count * 4:
         raise ValueError(f"{path}: truncated dataset file")
-    features = np.frombuffer(raw, dtype="<f4", count=count * int(np.prod(dims)),
+    features = np.frombuffer(raw, dtype="<f4", count=count * size,
                              offset=offset).reshape(count, *dims).copy()
     labels = np.frombuffer(raw, dtype="<i4", count=count, offset=offset + feat_len).copy()
     if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):

@@ -69,85 +69,29 @@ def convert_layer(layer):
             raise ValueError(f"layer {layer.name!r} is pruned but has no grouping")
         assignment = np.zeros(layer.mask.shape[0], dtype=np.int64)
     plan = build_group_plan(assignment, layer.mask)
-    blocks = []
-    if layer.kind == "conv2d":
-        kernel = layer.weight.shape[2]
-        source = "conv2d"
-        stride, padding = layer.stride, layer.padding
-    else:
-        kernel = 1
-        source = "fc"
-        stride, padding = 1, 0
-    for filt, channels in plan.groups:
-        w = layer.weight[np.ix_(filt, channels)]
-        if layer.kind == "fc":
-            w = w.reshape(len(filt), len(channels), 1, 1)
-        blocks.append(GroupBlock(filter_indices=filt, channel_indices=channels,
-                                 weight=np.ascontiguousarray(w)))
-    bias = None if layer.bias is None else layer.bias.copy()
+    conv = layer.kind == "conv2d"
+    weight = layer.weight if conv else layer.weight[:, :, None, None]
+    blocks = [GroupBlock(filter_indices=filt, channel_indices=channels,
+                         weight=np.ascontiguousarray(weight[np.ix_(filt, channels)]))
+              for filt, channels in plan.groups]
     return GroupConvLayer(
         name=layer.name, groups=blocks,
         in_channels=layer.mask.shape[1], out_channels=layer.mask.shape[0],
-        kernel=kernel, bias=bias, stride=stride, padding=padding,
-        activation=layer.activation, source=source,
+        kernel=weight.shape[2], bias=None if layer.bias is None else layer.bias.copy(),
+        stride=layer.stride if conv else 1, padding=layer.padding if conv else 0,
+        activation=layer.activation, source=layer.kind,
     )
 
 
 def convert_model(model: Model) -> Model:
     """Deploy: replace every compressible masked layer by group-conv blocks."""
-    layers = []
-    for layer in model.layers:
-        if is_compressible(layer):
-            layers.append(convert_layer(layer))
-        else:
-            layers.append(copy.deepcopy(layer))
-    return Model(layers=layers)
+    return Model(layers=[convert_layer(layer) if is_compressible(layer)
+                         else copy.deepcopy(layer) for layer in model.layers])
 
 
 def count_params(model: Model) -> int:
     """Live weights plus biases (dead conv connections drop their whole kernel)."""
-    total = 0
-    for layer in model.layers:
-        if layer.kind == "conv2d":
-            k = layer.weight.shape[2]
-            total += int(layer.mask.sum()) * k * k
-        elif layer.kind == "fc":
-            total += int(layer.mask.sum())
-        elif layer.kind == "groupconv":
-            total += sum(g.weight.size for g in layer.groups)
-        elif layer.kind == "affine_passthrough":
-            total += layer.scale.size + layer.shift.size
-            continue
-        if getattr(layer, "bias", None) is not None:
-            total += layer.bias.size
-    return total
-
-
-def _shape_after(layer, shape):
-    from .ops import conv_out_size
-
-    if layer.kind in ("conv2d", "groupconv") and not (
-            layer.kind == "groupconv" and layer.source == "fc"):
-        if len(shape) != 3:
-            raise ValueError(f"layer {layer.name!r} needs a (C,H,W) input, got {shape}")
-        c_in = layer.weight.shape[1] if layer.kind == "conv2d" else layer.in_channels
-        c_out = layer.weight.shape[0] if layer.kind == "conv2d" else layer.out_channels
-        kernel = layer.weight.shape[2] if layer.kind == "conv2d" else layer.kernel
-        if shape[0] != c_in:
-            raise ValueError(f"layer {layer.name!r} expects {c_in} channels, got {shape[0]}")
-        ho = conv_out_size(shape[1], kernel, layer.stride, layer.padding)
-        wo = conv_out_size(shape[2], kernel, layer.stride, layer.padding)
-        if ho < 1 or wo < 1:
-            raise ValueError(f"layer {layer.name!r} output collapses on input {shape}")
-        return (c_out, ho, wo)
-    if layer.kind == "fc" or (layer.kind == "groupconv" and layer.source == "fc"):
-        width = int(np.prod(shape))
-        c_in = layer.weight.shape[1] if layer.kind == "fc" else layer.in_channels
-        c_out = layer.weight.shape[0] if layer.kind == "fc" else layer.out_channels
-        if width != c_in:
-            raise ValueError(f"layer {layer.name!r} expects width {c_in}, got {width}")
-        return (c_out,)
-    return tuple(shape)  # affine passthrough keeps its shape
+    return sum(layer.params() for layer in model.layers)
 
 
 def count_flops(model: Model, input_shape) -> int:
@@ -160,32 +104,19 @@ def count_flops(model: Model, input_shape) -> int:
     shape = tuple(int(v) for v in input_shape)
     macs = 0
     for layer in model.layers:
-        out_shape = _shape_after(layer, shape)
-        if layer.kind == "conv2d":
-            c_out, c_in, k, _ = layer.weight.shape
-            macs += c_out * c_in * k * k * out_shape[1] * out_shape[2]
-        elif layer.kind == "fc":
-            macs += layer.weight.shape[0] * layer.weight.shape[1]
-        elif layer.kind == "groupconv":
-            spatial = out_shape[1] * out_shape[2] if layer.source == "conv2d" else 1
-            macs += sum(g.weight.size for g in layer.groups) * spatial
-        elif layer.kind == "affine_passthrough":
-            macs += int(np.prod(shape))
+        out_shape = layer.out_shape(shape)
+        macs += layer.macs(shape)
         shape = out_shape
     return 2 * macs
 
 
 def infer_input_shape(model: Model, max_size: int = 64):
-    """Smallest input shape the model accepts; used when no dataset is given."""
-    first = model.layers[0]
-    if first.kind == "fc":
-        return (first.weight.shape[1],)
-    if first.kind == "groupconv" and first.source == "fc":
-        return (first.in_channels,)
-    c_in = first.weight.shape[1] if first.kind == "conv2d" else \
-        first.in_channels if first.kind == "groupconv" else first.scale.size
-    for size in range(1, max_size + 1):
-        shape = (c_in, size, size)
+    """Smallest input shape the model accepts, flat before spatial; used
+    when no dataset is given."""
+    if not model.layers:
+        raise ValueError("a model without layers has no input shape")
+    c_in = model.layers[0].in_channels
+    for shape in [(c_in,), *((c_in, size, size) for size in range(1, max_size + 1))]:
         try:
             count_flops(model, shape)
         except ValueError:

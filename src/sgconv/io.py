@@ -81,23 +81,20 @@ def save_model(model: Model, manifest_path, blob_path) -> None:
     masks = {}
     groupings = {}
     for layer in model.layers:
-        rec = {"name": layer.name, "kind": layer.kind}
+        rec = {"name": layer.name, "kind": layer.kind, "activation": layer.activation}
         if layer.kind == "conv2d":
             c_out, c_in, k, _ = layer.weight.shape
             rec.update(out_channels=c_out, in_channels=c_in, kernel_size=k,
-                       stride=layer.stride, padding=layer.padding,
-                       activation=layer.activation, compress=layer.compress)
+                       stride=layer.stride, padding=layer.padding, compress=layer.compress)
             rec["blob_offset"], rec["blob_length"] = blob.add(layer.weight)
         elif layer.kind == "fc":
             c_out, c_in = layer.weight.shape
-            rec.update(out_features=c_out, in_features=c_in,
-                       activation=layer.activation, compress=layer.compress)
+            rec.update(out_features=c_out, in_features=c_in, compress=layer.compress)
             rec["blob_offset"], rec["blob_length"] = blob.add(layer.weight)
         elif layer.kind == "groupconv":
             rec.update(out_channels=layer.out_channels, in_channels=layer.in_channels,
                        kernel_size=layer.kernel, stride=layer.stride,
-                       padding=layer.padding, activation=layer.activation,
-                       source=layer.source, compress=False)
+                       padding=layer.padding, source=layer.source, compress=False)
             rec["groups"] = []
             for block in layer.groups:
                 offset, length = blob.add(block.weight)
@@ -107,12 +104,12 @@ def save_model(model: Model, manifest_path, blob_path) -> None:
                     "blob_offset": offset, "blob_length": length,
                 })
         elif layer.kind == "affine_passthrough":
-            rec.update(channels=int(layer.scale.size), activation=layer.activation)
+            rec.update(channels=int(layer.scale.size))
             rec["blob_offset"], rec["blob_length"] = blob.add(layer.scale)
             rec["bias_offset"], rec["bias_length"] = blob.add(layer.shift)
         else:
             raise ModelFormatError(f"cannot serialize layer kind {layer.kind!r}")
-        if layer.kind in ("conv2d", "fc", "groupconv") and layer.bias is not None:
+        if getattr(layer, "bias", None) is not None:
             rec["bias_offset"], rec["bias_length"] = blob.add(layer.bias)
         if layer.kind in ("conv2d", "fc"):
             if not layer.mask.all():
@@ -163,8 +160,79 @@ class _BlobReader:
                 raise OverlappingRangesError(f"blob ranges overlap: {w0} and {w1}")
 
 
+def _bias(blob, rec, name, size):
+    if "bias_offset" not in rec:
+        return None
+    return blob.fetch(rec, (size,), f"{name}.bias", "bias_offset", "bias_length")
+
+
+def _ref(table, rec, key, name):
+    ref = rec[key]
+    if ref not in table:
+        raise ModelFormatError(f"{name}: {key} {ref!r} not found")
+    return table[ref]
+
+
+def _attach_mask_and_grouping(layer, rec, masks, groupings):
+    if "mask_ref" in rec:
+        bits = _ref(masks, rec, "mask_ref", layer.name)["bits"]
+        layer.mask = _decode_mask(bits, layer.mask.shape)
+    if "grouping_ref" in rec:
+        entry = _ref(groupings, rec, "grouping_ref", layer.name)
+        assignment = np.asarray(entry["assignment"], dtype=np.int64)
+        if len(assignment) != layer.mask.shape[0]:
+            raise ModelFormatError(f"{layer.name}: grouping length {len(assignment)} "
+                                   f"!= {layer.mask.shape[0]} filters")
+        if len(assignment) and (assignment.min() < 0
+                                or assignment.max() >= entry["num_groups"]):
+            raise ModelFormatError(f"{layer.name}: group ids outside "
+                                   f"[0, {entry['num_groups']})")
+        layer.grouping = assignment
+    return layer
+
+
+def _read_layer(rec, blob, masks, groupings):
+    """One layer from its manifest record; KeyError/TypeError/ValueError when malformed."""
+    name, kind = rec["name"], rec["kind"]
+    if kind == "conv2d":
+        c_out, k = rec["out_channels"], rec["kernel_size"]
+        weight = blob.fetch(rec, (c_out, rec["in_channels"], k, k), name)
+        layer = ConvLayer(name, weight, _bias(blob, rec, name, c_out), stride=rec["stride"],
+                          padding=rec["padding"], activation=rec["activation"],
+                          compress=rec["compress"])
+        return _attach_mask_and_grouping(layer, rec, masks, groupings)
+    if kind == "fc":
+        c_out = rec["out_features"]
+        weight = blob.fetch(rec, (c_out, rec["in_features"]), name)
+        layer = FcLayer(name, weight, _bias(blob, rec, name, c_out),
+                        activation=rec["activation"], compress=rec["compress"])
+        return _attach_mask_and_grouping(layer, rec, masks, groupings)
+    if kind == "groupconv":
+        k = rec["kernel_size"]
+        blocks = []
+        for gi, grec in enumerate(rec["groups"]):
+            filt = np.asarray(grec["filters"], dtype=np.int64)
+            chan = np.asarray(grec["channels"], dtype=np.int64)
+            blocks.append(GroupBlock(filt, chan, blob.fetch(
+                grec, (len(filt), len(chan), k, k), f"{name}.group{gi}")))
+        return GroupConvLayer(name, blocks, in_channels=rec["in_channels"],
+                              out_channels=rec["out_channels"], kernel=k,
+                              bias=_bias(blob, rec, name, rec["out_channels"]),
+                              stride=rec["stride"], padding=rec["padding"],
+                              activation=rec["activation"], source=rec["source"])
+    if kind == "affine_passthrough":
+        scale = blob.fetch(rec, (rec["channels"],), name)
+        shift = blob.fetch(rec, (rec["channels"],), f"{name}.shift",
+                           "bias_offset", "bias_length")
+        return AffineLayer(name, scale, shift, activation=rec["activation"])
+    raise ModelFormatError(f"unknown layer kind {kind!r}")
+
+
 def load_model(manifest_path, blob_path) -> Model:
-    """Materialize a model: weights, masks (default all-keep) and groupings."""
+    """Materialize a model: weights, masks (default all-keep) and groupings.
+
+    Any malformed manifest, blob or record raises ModelFormatError.
+    """
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -176,74 +244,22 @@ def load_model(manifest_path, blob_path) -> Model:
             f"{manifest_path}: format_version {manifest['format_version']} "
             f"unsupported (expected {FORMAT_VERSION})"
         )
+    if not isinstance(manifest.get("layers"), list):
+        raise ModelFormatError(f"{manifest_path}: \"layers\" must be a list of records")
     blob = _BlobReader(Path(blob_path).read_bytes(), blob_path)
     masks = manifest.get("masks", {})
     groupings = manifest.get("groupings", {})
     layers = []
     seen_names = set()
-    for rec in manifest["layers"]:
-        name, kind = rec["name"], rec["kind"]
-        if name in seen_names:
-            raise ModelFormatError(f"duplicate layer name {name!r}")
-        seen_names.add(name)
-        if kind == "conv2d":
-            shape = (rec["out_channels"], rec["in_channels"],
-                     rec["kernel_size"], rec["kernel_size"])
-            weight = blob.fetch(rec, shape, name)
-            bias = blob.fetch(rec, (rec["out_channels"],), f"{name}.bias",
-                              "bias_offset", "bias_length") if "bias_offset" in rec else None
-            layer = ConvLayer(name, weight, bias, stride=rec["stride"],
-                              padding=rec["padding"], activation=rec["activation"],
-                              compress=rec["compress"])
-        elif kind == "fc":
-            shape = (rec["out_features"], rec["in_features"])
-            weight = blob.fetch(rec, shape, name)
-            bias = blob.fetch(rec, (rec["out_features"],), f"{name}.bias",
-                              "bias_offset", "bias_length") if "bias_offset" in rec else None
-            layer = FcLayer(name, weight, bias, activation=rec["activation"],
-                            compress=rec["compress"])
-        elif kind == "groupconv":
-            blocks = []
-            for gi, grec in enumerate(rec["groups"]):
-                filt = np.asarray(grec["filters"], dtype=np.int64)
-                chan = np.asarray(grec["channels"], dtype=np.int64)
-                shape = (len(filt), len(chan), rec["kernel_size"], rec["kernel_size"])
-                blocks.append(GroupBlock(filt, chan,
-                                         blob.fetch(grec, shape, f"{name}.group{gi}")))
-            bias = blob.fetch(rec, (rec["out_channels"],), f"{name}.bias",
-                              "bias_offset", "bias_length") if "bias_offset" in rec else None
-            layer = GroupConvLayer(name, blocks, in_channels=rec["in_channels"],
-                                   out_channels=rec["out_channels"],
-                                   kernel=rec["kernel_size"], bias=bias,
-                                   stride=rec["stride"], padding=rec["padding"],
-                                   activation=rec["activation"], source=rec["source"])
-        elif kind == "affine_passthrough":
-            scale = blob.fetch(rec, (rec["channels"],), name)
-            shift = blob.fetch(rec, (rec["channels"],), f"{name}.shift",
-                               "bias_offset", "bias_length")
-            layer = AffineLayer(name, scale, shift, activation=rec["activation"])
-        else:
-            raise ModelFormatError(f"unknown layer kind {kind!r}")
-        if kind in ("conv2d", "fc"):
-            if "mask_ref" in rec:
-                ref = rec["mask_ref"]
-                if ref not in masks:
-                    raise ModelFormatError(f"{name}: mask_ref {ref!r} not found")
-                layer.mask = _decode_mask(masks[ref]["bits"], layer.mask.shape)
-            if "grouping_ref" in rec:
-                ref = rec["grouping_ref"]
-                if ref not in groupings:
-                    raise ModelFormatError(f"{name}: grouping_ref {ref!r} not found")
-                entry = groupings[ref]
-                assignment = np.asarray(entry["assignment"], dtype=np.int64)
-                if len(assignment) != layer.mask.shape[0]:
-                    raise ModelFormatError(f"{name}: grouping length {len(assignment)} "
-                                           f"!= {layer.mask.shape[0]} filters")
-                if len(assignment) and (assignment.min() < 0
-                                        or assignment.max() >= entry["num_groups"]):
-                    raise ModelFormatError(f"{name}: group ids outside "
-                                           f"[0, {entry['num_groups']})")
-                layer.grouping = assignment
+    for index, rec in enumerate(manifest["layers"]):
+        try:
+            layer = _read_layer(rec, blob, masks, groupings)
+            if layer.name in seen_names:
+                raise ModelFormatError(f"duplicate layer name {layer.name!r}")
+            seen_names.add(layer.name)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{manifest_path}: layer record {index} is malformed "
+                                   f"({type(exc).__name__}: {exc})") from exc
         layers.append(layer)
     blob.check_disjoint()
     model = Model(layers=layers)

@@ -1,10 +1,14 @@
 """Model container: typed layer records and whole-model forward.
 
-A model is an ordered list of layer records. Connection masks live on
-conv/fc layers as (C_out, C_in) boolean arrays; a dead conv connection
-stands for the whole zeroed k x k kernel. Weights of masked-out
-connections are kept at exactly zero, so the plain forward pass IS the
-masked forward pass.
+A model is an ordered list of layer records. Each layer kind is one class
+with the five methods callers use instead of branching on ``kind``:
+``linear(x)`` (pre-activation output), ``backward(x, dz)`` -> (dx,
+(dweight, dbias) or None when frozen), ``out_shape(shape)``,
+``macs(shape)`` per sample, and ``params()``. The file format stays in
+io.py. Connection masks live on conv/fc layers as (C_out, C_in) boolean
+arrays; a dead conv connection stands for the whole zeroed k x k kernel.
+Weights of masked-out connections are kept at exactly zero, so the plain
+forward pass IS the masked forward pass.
 """
 from __future__ import annotations
 
@@ -15,8 +19,51 @@ import numpy as np
 from . import ops
 
 
+def _bias_size(bias) -> int:
+    return 0 if bias is None else bias.size
+
+
+def _conv_out_shape(name, shape, c_in, c_out, kernel, stride, padding):
+    if len(shape) != 3:
+        raise ValueError(f"layer {name!r} needs a (C,H,W) input, got {shape}")
+    if shape[0] != c_in:
+        raise ValueError(f"layer {name!r} expects {c_in} channels, got {shape[0]}")
+    ho = ops.conv_out_size(shape[1], kernel, stride, padding)
+    wo = ops.conv_out_size(shape[2], kernel, stride, padding)
+    if ho < 1 or wo < 1:
+        raise ValueError(f"layer {name!r} output collapses on input {shape}")
+    return (c_out, ho, wo)
+
+
+def _flat_out_shape(name, shape, c_in, c_out):
+    width = int(np.prod(shape))
+    if width != c_in:
+        raise ValueError(f"layer {name!r} expects width {c_in}, got {width}")
+    return (c_out,)
+
+
+def flatten_batch(x, width, name):
+    if x.ndim > 2:
+        x = x.reshape(x.shape[0], -1)
+    if x.shape[1] != width:
+        raise ValueError(f"{name}: input width {x.shape[1]} != expected {width}")
+    return x
+
+
+class _MaskedLayer:
+    """Conv and fc: a (C_out, C_in, ...) weight whose mask defaults to all-keep."""
+
+    def __post_init__(self):
+        if self.mask is None:
+            self.mask = np.ones(self.weight.shape[:2], dtype=bool)
+
+    @property
+    def in_channels(self) -> int:
+        return self.weight.shape[1]
+
+
 @dataclass
-class ConvLayer:
+class ConvLayer(_MaskedLayer):
     kind = "conv2d"
     name: str
     weight: np.ndarray                 # (C_out, C_in, k, k) float32
@@ -28,13 +75,30 @@ class ConvLayer:
     mask: np.ndarray = None            # bool (C_out, C_in); all-keep by default
     grouping: np.ndarray | None = None  # int group id per filter, set by the pipeline
 
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones(self.weight.shape[:2], dtype=bool)
+    def linear(self, x):
+        return ops.conv2d_forward(x, self.weight, self.bias, stride=self.stride,
+                                  padding=self.padding, name=self.name)
+
+    def backward(self, x, dz):
+        dx, dw, db = ops.conv2d_backward(dz, x, self.weight, stride=self.stride,
+                                         padding=self.padding, name=self.name)
+        return dx, (dw, db)
+
+    def out_shape(self, shape):
+        c_out, c_in, kernel, _ = self.weight.shape
+        return _conv_out_shape(self.name, shape, c_in, c_out, kernel,
+                               self.stride, self.padding)
+
+    def macs(self, shape):
+        _, ho, wo = self.out_shape(shape)
+        return self.weight.size * ho * wo
+
+    def params(self):  # a dead connection drops its whole k x k kernel
+        return int(self.mask.sum()) * self.weight.shape[2] ** 2 + _bias_size(self.bias)
 
 
 @dataclass
-class FcLayer:
+class FcLayer(_MaskedLayer):
     kind = "fc"
     name: str
     weight: np.ndarray                 # (C_out, C_in) float32
@@ -44,9 +108,23 @@ class FcLayer:
     mask: np.ndarray = None
     grouping: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones(self.weight.shape, dtype=bool)
+    def linear(self, x):
+        x = flatten_batch(x, self.weight.shape[1], self.name)
+        return ops.fc_forward(x, self.weight, self.bias, name=self.name)
+
+    def backward(self, x, dz):
+        flat = flatten_batch(x, self.weight.shape[1], self.name)
+        dx, dw, db = ops.fc_backward(dz, flat, self.weight, name=self.name)
+        return dx.reshape(x.shape), (dw, db)
+
+    def out_shape(self, shape):
+        return _flat_out_shape(self.name, shape, self.weight.shape[1], self.weight.shape[0])
+
+    def macs(self, shape):
+        return self.weight.size
+
+    def params(self):
+        return int(self.mask.sum()) + _bias_size(self.bias)
 
 
 @dataclass
@@ -72,6 +150,38 @@ class GroupConvLayer:
     source: str = "conv2d"             # "conv2d" or "fc": fc blocks run on flat input
     compress: bool = False
 
+    def linear(self, x):
+        if self.source == "fc":
+            x = flatten_batch(x, self.in_channels, self.name)
+            triples = [(g.filter_indices, g.channel_indices, g.weight.reshape(g.weight.shape[:2]))
+                       for g in self.groups]
+            return ops.group_fc_forward(x, triples, self.out_channels, self.bias,
+                                        name=self.name)
+        triples = [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups]
+        return ops.group_conv_forward(x, triples, self.out_channels, self.kernel, self.bias,
+                                      stride=self.stride, padding=self.padding,
+                                      name=self.name)
+
+    def backward(self, x, dz):
+        raise ValueError(f"layer {self.name!r} ({self.kind}) has no backward support; "
+                         f"fine-tune before deployment, not after")
+
+    def out_shape(self, shape):
+        if self.source == "fc":
+            return _flat_out_shape(self.name, shape, self.in_channels, self.out_channels)
+        return _conv_out_shape(self.name, shape, self.in_channels, self.out_channels,
+                               self.kernel, self.stride, self.padding)
+
+    def macs(self, shape):
+        block_macs = sum(g.weight.size for g in self.groups)
+        if self.source == "fc":
+            return block_macs
+        _, ho, wo = self.out_shape(shape)
+        return block_macs * ho * wo
+
+    def params(self):
+        return sum(g.weight.size for g in self.groups) + _bias_size(self.bias)
+
 
 @dataclass
 class AffineLayer:
@@ -82,6 +192,28 @@ class AffineLayer:
     shift: np.ndarray                  # (C,)
     activation: str = "identity"
     compress: bool = False
+
+    @property
+    def in_channels(self) -> int:
+        return self.scale.size
+
+    def _per_channel(self, v, ndim):
+        return v.reshape(1, -1, *([1] * (ndim - 2)))
+
+    def linear(self, x):
+        return x * self._per_channel(self.scale, x.ndim) + self._per_channel(self.shift, x.ndim)
+
+    def backward(self, x, dz):
+        return dz * self._per_channel(self.scale, dz.ndim), None
+
+    def out_shape(self, shape):
+        return tuple(shape)
+
+    def macs(self, shape):
+        return int(np.prod(shape))
+
+    def params(self):
+        return self.scale.size + self.shift.size
 
 
 Layer = ConvLayer | FcLayer | GroupConvLayer | AffineLayer
@@ -103,44 +235,9 @@ class Model:
         raise KeyError(f"no layer named {name!r}")
 
 
-def flatten_batch(x, width, name):
-    if x.ndim > 2:
-        x = x.reshape(x.shape[0], -1)
-    if x.shape[1] != width:
-        raise ValueError(f"{name}: input width {x.shape[1]} != expected {width}")
-    return x
-
-
 def layer_forward(layer, x):
     """Run one layer (linear part + activation) on a batch."""
-    if layer.kind == "conv2d":
-        z = ops.conv2d_forward(x, layer.weight, layer.bias, stride=layer.stride,
-                               padding=layer.padding, name=layer.name)
-    elif layer.kind == "fc":
-        x = flatten_batch(x, layer.weight.shape[1], layer.name)
-        z = ops.fc_forward(x, layer.weight, layer.bias, name=layer.name)
-    elif layer.kind == "groupconv":
-        if layer.source == "fc":
-            x = flatten_batch(x, layer.in_channels, layer.name)
-            triples = [(g.filter_indices, g.channel_indices,
-                        g.weight.reshape(g.weight.shape[0], g.weight.shape[1]))
-                       for g in layer.groups]
-            z = ops.group_fc_forward(x, triples, layer.out_channels, layer.bias,
-                                     name=layer.name)
-        else:
-            triples = [(g.filter_indices, g.channel_indices, g.weight)
-                       for g in layer.groups]
-            z = ops.group_conv_forward(x, triples, layer.out_channels, layer.kernel,
-                                       layer.bias, stride=layer.stride,
-                                       padding=layer.padding, name=layer.name)
-    elif layer.kind == "affine_passthrough":
-        if x.ndim == 4:
-            z = x * layer.scale.reshape(1, -1, 1, 1) + layer.shift.reshape(1, -1, 1, 1)
-        else:
-            z = x * layer.scale + layer.shift
-    else:
-        raise ValueError(f"unknown layer kind {layer.kind!r}")
-    return ops.apply_activation(z, layer.activation)
+    return ops.apply_activation(layer.linear(x), layer.activation)
 
 
 def apply_mask(layer) -> None:

@@ -6,6 +6,8 @@ tests can run float64 finite differences through the same code path.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 ACTIVATIONS = ("identity", "relu")
@@ -152,6 +154,23 @@ def _check_channel_range(chan_idx, c_in, name):
         raise ValueError(f"{name}: channel index out of range 0..{c_in - 1}")
 
 
+def _group_forward(x, groups, out_shape, bias, block_forward, name):
+    """Gather each group's input channels, run its block, scatter the result."""
+    _check_group_partition(groups, out_shape[1], name)
+    out = np.zeros(out_shape, dtype=x.dtype)
+    for filt_idx, chan_idx, w_g in groups:
+        filt_idx = np.asarray(filt_idx, dtype=np.int64)
+        chan_idx = np.asarray(chan_idx, dtype=np.int64)
+        if len(chan_idx) == 0:
+            continue
+        _check_channel_range(chan_idx, x.shape[1], name)
+        gathered = np.ascontiguousarray(x[:, chan_idx])  # keep BLAS on one code path
+        out[:, filt_idx] = block_forward(gathered, w_g, name=f"{name}.block")
+    if bias is not None:
+        out = out + np.asarray(bias).reshape(1, -1, *([1] * (out.ndim - 2)))
+    return out
+
+
 def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
                        stride=1, padding=0, name="groupconv"):
     """Diverse group convolution: per-group channel gather, dense conv, scatter.
@@ -166,22 +185,10 @@ def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
     """
     if x.ndim != 4:
         raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
-    _check_group_partition(groups, out_channels, name)
     ho = conv_out_size(x.shape[2], kernel, stride, padding)
     wo = conv_out_size(x.shape[3], kernel, stride, padding)
-    out = np.zeros((x.shape[0], out_channels, ho, wo), dtype=x.dtype)
-    for filt_idx, chan_idx, w_g in groups:
-        filt_idx = np.asarray(filt_idx, dtype=np.int64)
-        chan_idx = np.asarray(chan_idx, dtype=np.int64)
-        if len(chan_idx) == 0:
-            continue
-        _check_channel_range(chan_idx, x.shape[1], name)
-        gathered = np.ascontiguousarray(x[:, chan_idx])  # keep BLAS on one code path
-        out[:, filt_idx] = conv2d_forward(gathered, w_g, stride=stride, padding=padding,
-                                          name=f"{name}.block")
-    if bias is not None:
-        out = out + np.asarray(bias).reshape(1, out_channels, 1, 1)
-    return out
+    block = functools.partial(conv2d_forward, stride=stride, padding=padding)
+    return _group_forward(x, groups, (x.shape[0], out_channels, ho, wo), bias, block, name)
 
 
 def group_fc_forward(x, groups, out_features, bias=None, *, name="groupfc"):
@@ -193,16 +200,4 @@ def group_fc_forward(x, groups, out_features, bias=None, *, name="groupfc"):
     """
     if x.ndim != 2:
         raise ValueError(f"{name}: expected 2-d input (N,C_in), got shape {tuple(x.shape)}")
-    _check_group_partition(groups, out_features, name)
-    out = np.zeros((x.shape[0], out_features), dtype=x.dtype)
-    for filt_idx, chan_idx, w_g in groups:
-        filt_idx = np.asarray(filt_idx, dtype=np.int64)
-        chan_idx = np.asarray(chan_idx, dtype=np.int64)
-        if len(chan_idx) == 0:
-            continue
-        _check_channel_range(chan_idx, x.shape[1], name)
-        gathered = np.ascontiguousarray(x[:, chan_idx])  # keep BLAS on one code path
-        out[:, filt_idx] = fc_forward(gathered, w_g, name=f"{name}.block")
-    if bias is not None:
-        out = out + np.asarray(bias)
-    return out
+    return _group_forward(x, groups, (x.shape[0], out_features), bias, fc_forward, name)

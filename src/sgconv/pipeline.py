@@ -22,12 +22,10 @@ from .data import Dataset
 from .deploy import count_flops, count_params, infer_input_shape
 from .grouping import Grouping, centroids_for, kmeans_cluster
 from .importance import layer_importance
-from .model import Model, apply_mask, flatten_batch, is_compressible, \
-    validate_first_conv_uncompressed
-from .pruning import (RATIO_EPS, build_sorted_centroids, compression_ratio_layer,
-                      compression_ratio_network, group_sizes, kill_elements,
-                      minimal_truncation, model_dead_fraction, model_ratio_items,
-                      partial_elements, pruned_elements)
+from .model import Model, apply_mask, is_compressible, validate_first_conv_uncompressed
+from .pruning import (RATIO_EPS, compression_ratio_layer, compression_ratio_network,
+                      kill_elements, model_dead_fraction, model_ratio_items,
+                      partial_elements, prune_to_ratio, pruned_elements)
 
 REPORT_SCHEMA_VERSION = 1
 FINETUNE_MODES = ("none", "global", "local+global")
@@ -100,43 +98,21 @@ def _softmax_cross_entropy(logits, labels):
 def _forward_cached(model, x):
     caches = []
     for layer in model.layers:
-        if layer.kind == "conv2d":
-            z = ops.conv2d_forward(x, layer.weight, layer.bias, stride=layer.stride,
-                                   padding=layer.padding, name=layer.name)
-            caches.append((layer, x, z, None))
-        elif layer.kind == "fc":
-            flat = flatten_batch(x, layer.weight.shape[1], layer.name)
-            z = ops.fc_forward(flat, layer.weight, layer.bias, name=layer.name)
-            caches.append((layer, flat, z, x.shape))
-        elif layer.kind == "affine_passthrough":
-            z = x * layer.scale.reshape(1, -1, *([1] * (x.ndim - 2))) \
-                + layer.shift.reshape(1, -1, *([1] * (x.ndim - 2)))
-            caches.append((layer, x, z, None))
-        else:
-            raise ValueError(
-                f"layer {layer.name!r} ({layer.kind}) has no backward support; "
-                f"fine-tune before deployment, not after"
-            )
+        z = layer.linear(x)
+        caches.append((layer, x, z))
         x = ops.apply_activation(z, layer.activation)
     return x, caches
 
 
 def _backward(caches, dlogits):
-    grads = {}
+    """(layer, (dweight, dbias)) for every trainable layer, last layer first."""
+    grads = []
     d = dlogits
-    for layer, x_in, z, unflatten in reversed(caches):
+    for layer, x_in, z in reversed(caches):
         d = ops.activation_backward(d, z, layer.activation)
-        if layer.kind == "conv2d":
-            d, dw, db = ops.conv2d_backward(d, x_in, layer.weight, stride=layer.stride,
-                                            padding=layer.padding, name=layer.name)
-            grads[layer.name] = (dw, db)
-        elif layer.kind == "fc":
-            d, dw, db = ops.fc_backward(d, x_in, layer.weight, name=layer.name)
-            grads[layer.name] = (dw, db)
-            if unflatten is not None and tuple(unflatten) != d.shape:
-                d = d.reshape(unflatten)
-        else:  # affine passthrough: frozen, gradient flows through
-            d = d * layer.scale.reshape(1, -1, *([1] * (d.ndim - 2)))
+        d, layer_grads = layer.backward(x_in, d)
+        if layer_grads is not None:
+            grads.append((layer, layer_grads))
     return grads
 
 
@@ -145,15 +121,13 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
 
     Pruned connections are re-zeroed after every update, so dead
     connections never revive. Returns per-epoch training accuracy.
-    Raises RuntimeError if the loss stops being finite.
+    Raises RuntimeError if the loss stops being finite, and ValueError
+    for a deployed model, whose group layers have no backward pass.
     """
     if dataset is None or len(dataset) == 0:
         raise ValueError("fine-tuning needs a non-empty dataset")
     rng = np.random.default_rng(config.seed)
-    trainable = [l for l in model.layers if l.kind in ("conv2d", "fc")]
-    velocity = {l.name: (np.zeros_like(l.weight),
-                         None if l.bias is None else np.zeros_like(l.bias))
-                for l in trainable}
+    velocity = {}
     trace = []
     n = len(dataset)
     for epoch in range(config.epochs):
@@ -171,9 +145,11 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
                 raise RuntimeError(
                     f"training diverged: loss={loss} at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            grads = _backward(caches, dlogits)
-            for layer in trainable:
-                dw, db = grads[layer.name]
+            for layer, (dw, db) in _backward(caches, dlogits):
+                if layer.name not in velocity:
+                    velocity[layer.name] = (
+                        np.zeros_like(layer.weight),
+                        None if layer.bias is None else np.zeros_like(layer.bias))
                 vw, vb = velocity[layer.name]
                 dw = dw + config.weight_decay * layer.weight
                 vw *= config.momentum
@@ -244,12 +220,7 @@ def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> di
         vectors = layer_importance(layer)
         grouping.centroids = centroids_for(np.asarray(vectors, dtype=np.float64),
                                            grouping.assignment, grouping.num_groups)
-    target = min(t * schedule.step, 1.0)
-    order = build_sorted_centroids(grouping.centroids)
-    sizes = group_sizes(grouping.assignment, grouping.num_groups)
-    n = minimal_truncation(order, sizes, grouping.centroids.shape[1], target)
-    kill_elements(layer, grouping.assignment,
-                  [(gid, ch) for _v, _l, gid, ch in order.entries[:n]])
+    n = prune_to_ratio(layer, grouping, min(t * schedule.step, 1.0))
     layer.grouping = grouping.assignment
     pruned = pruned_elements(layer.mask, grouping.assignment, grouping.num_groups)
     return {
@@ -292,14 +263,9 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
     }
 
     def kinds_pending():
-        pend = []
-        for kind, target in targets.items():
-            if target <= 0:
-                continue
-            layers = [l for l in compressible if l.kind == kind]
-            if layers and model_dead_fraction(model, kind) < target - RATIO_EPS:
-                pend.append(kind)
-        return pend
+        return [kind for kind, target in targets.items()
+                if target > 0 and any(l.kind == kind for l in compressible)
+                and model_dead_fraction(model, kind) < target - RATIO_EPS]
 
     prune_seconds = 0.0
     local_seconds = 0.0

@@ -36,35 +36,28 @@ def build_sorted_centroids(centroids: np.ndarray, layer_id: int = 0) -> SortedCe
     return SortedCentroids(entries=entries)
 
 
+def _bundle_dead_counts(mask: np.ndarray, assignment: np.ndarray, num_groups: int):
+    """Dead filters of every (group, channel) bundle, and the group sizes as a column."""
+    members = assignment == np.arange(num_groups)[:, None]  # (g, C_out) one-hot
+    dead = members.astype(np.float64) @ ~mask  # counts of 0/1 terms: exact in float64
+    return dead, members.sum(axis=1)[:, None]
+
+
 def pruned_elements(mask: np.ndarray, assignment: np.ndarray, num_groups: int) -> np.ndarray:
     """(g, C_in) bool matrix: element is True when its whole bundle is dead."""
-    dead = ~mask
-    out = np.zeros((num_groups, mask.shape[1]), dtype=bool)
-    for i in range(num_groups):
-        rows = dead[assignment == i]
-        if len(rows):
-            out[i] = rows.all(axis=0)
-    return out
+    dead, sizes = _bundle_dead_counts(mask, assignment, num_groups)
+    return (dead == sizes) & (sizes > 0)
 
 
 def partial_elements(mask: np.ndarray, assignment: np.ndarray, num_groups: int) -> np.ndarray:
     """(g, C_in) bool matrix: True where a bundle is dead for only some filters."""
-    dead = ~mask
-    out = np.zeros((num_groups, mask.shape[1]), dtype=bool)
-    for i in range(num_groups):
-        rows = dead[assignment == i]
-        if len(rows):
-            out[i] = rows.any(axis=0) & ~rows.all(axis=0)
-    return out
+    dead, sizes = _bundle_dead_counts(mask, assignment, num_groups)
+    return (dead > 0) & (dead < sizes)
 
 
 def compression_ratio_layer(assignment: np.ndarray, pruned: np.ndarray) -> float:
     """Fraction of connections removed: sum_i n_i*|g_i| / sum_i C_in*|g_i|."""
-    num_groups, c_in = pruned.shape
-    sizes = group_sizes(assignment, num_groups)
-    removed = int((pruned.sum(axis=1) * sizes).sum())
-    total = int(c_in * sizes.sum())
-    return removed / total
+    return compression_ratio_network([(assignment, pruned)])
 
 
 def compression_ratio_network(items) -> float:
@@ -81,6 +74,11 @@ def compression_ratio_network(items) -> float:
     return removed / total
 
 
+def _compressible(model, kind: str | None):
+    return [layer for layer in model.layers
+            if is_compressible(layer) and (kind is None or layer.kind == kind)]
+
+
 def model_ratio_items(model, kind: str | None = None):
     """(assignment, pruned-elements) pairs feeding the pooled ratio formula.
 
@@ -88,9 +86,7 @@ def model_ratio_items(model, kind: str | None = None):
     group, so their connections appear in the denominator.
     """
     items = []
-    for layer in model.layers:
-        if not is_compressible(layer) or (kind is not None and layer.kind != kind):
-            continue
+    for layer in _compressible(model, kind):
         if layer.grouping is not None:
             assignment = layer.grouping
             num_groups = int(assignment.max()) + 1
@@ -108,17 +104,11 @@ def mask_dead_fraction(mask: np.ndarray) -> float:
 
 def model_dead_fraction(model, kind: str | None = None) -> float:
     """Pooled dead-connection fraction over compressible layers, optionally by kind."""
-    dead = 0
-    total = 0
-    for layer in model.layers:
-        if layer.kind in ("conv2d", "fc") and layer.compress:
-            if kind is not None and layer.kind != kind:
-                continue
-            dead += int((~layer.mask).sum())
-            total += layer.mask.size
+    layers = _compressible(model, kind)
+    total = sum(layer.mask.size for layer in layers)
     if total == 0:
         return 0.0
-    return dead / total
+    return sum(int((~layer.mask).sum()) for layer in layers) / total
 
 
 def minimal_truncation(order: SortedCentroids, sizes: np.ndarray, c_in: int,
@@ -144,25 +134,26 @@ def kill_elements(layer, assignment: np.ndarray, elements) -> None:
     apply_mask(layer)
 
 
-def select_and_prune(layer, grouping, t: int, s: float) -> np.ndarray:
-    """Prune the layer up to the cumulative target t*s and return its mask.
+def prune_to_ratio(layer, grouping, target: float) -> int:
+    """Kill the minimal ascending prefix of centroid elements whose removal
+    ratio reaches ``target``; returns the prefix length.
 
-    Selects the minimal ascending prefix of centroid elements whose
-    removal ratio reaches t*s (already-dead bundles sort first at value
-    0 and count toward the target), kills every selected bundle, and
-    zeroes the matching kernels in the layer weights.
+    Already-dead bundles sort first at value 0 and count toward the
+    target. Killing zeroes the matching kernels in the layer weights.
     """
+    order = build_sorted_centroids(grouping.centroids)
+    sizes = group_sizes(grouping.assignment, grouping.num_groups)
+    n = minimal_truncation(order, sizes, grouping.centroids.shape[1], target)
+    kill_elements(layer, grouping.assignment,
+                  [(gid, ch) for _v, _l, gid, ch in order.entries[:n]])
+    return n
+
+
+def select_and_prune(layer, grouping, t: int, s: float) -> np.ndarray:
+    """Prune the layer up to the cumulative target t*s and return its mask."""
     if t < 1:
         raise ValueError(f"iteration index t must be >= 1, got {t}")
     if not 0 < s <= 1:
         raise ValueError(f"pruning step s must be in (0, 1], got {s}")
-    target = t * s
-    if target > 1.0 + 1e-12:
-        raise ValueError(f"cumulative target t*s = {target} exceeds 1: unreachable")
-    order = build_sorted_centroids(grouping.centroids)
-    sizes = group_sizes(grouping.assignment, grouping.num_groups)
-    c_in = grouping.centroids.shape[1]
-    n = minimal_truncation(order, sizes, c_in, target)
-    kill_elements(layer, grouping.assignment,
-                  [(gid, ch) for _v, _l, gid, ch in order.entries[:n]])
+    prune_to_ratio(layer, grouping, t * s)
     return layer.mask

@@ -161,8 +161,7 @@ def test_sweep_cell_failure_does_not_abort(workspace):
     assert statuses[1] == "ok"
 
 
-def test_sweep_threaded_matches_grid(workspace, monkeypatch):
-    monkeypatch.setenv("SG_THREADS", "2")
+def test_sweep_rows_follow_grid_order(workspace):
     out_csv = workspace / "sweep3.csv"
     code = main(["sweep", "--model", str(workspace / "toy.sgm.json"),
                  "--data", str(workspace / "train.sgd"),

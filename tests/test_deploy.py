@@ -194,6 +194,8 @@ def test_infer_input_shape(toy_model):
     assert infer_input_shape(toy_model) == (3, 8, 8)
     fc_model = Model(layers=[FcLayer("f", np.zeros((3, 17), np.float32))])
     assert infer_input_shape(fc_model) == (17,)
+    with pytest.raises(ValueError, match="without layers"):
+        infer_input_shape(Model(layers=[]))
 
 
 def test_random_models_deploy_equivalent(rng):

@@ -1,13 +1,16 @@
 """Manifest/blob persistence and the .sgd dataset format."""
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from sgconv.data import load_dataset, make_blob_dataset, save_dataset
+from sgconv.cli import main
+from sgconv.data import MAGIC, load_dataset, make_blob_dataset, save_dataset
+from sgconv.deploy import convert_layer
 from sgconv.io import (ModelFormatError, OverlappingRangesError, TruncatedBlobError,
                        VersionMismatchError, load_model, save_model, sgm_paths)
-from sgconv.model import ConvLayer, Model, apply_mask, build_toy_cnn
+from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
 
 
 def save_load(model, tmp_path, name="m"):
@@ -170,6 +173,77 @@ def test_groupconv_roundtrip_identical_outputs(tmp_path, rng):
     np.testing.assert_array_equal(deployed.forward(x), loaded.forward(x))
 
 
+# Keys the loader needs, per record kind; optional keys (bias, mask and
+# grouping references) are left out.
+REQUIRED_KEYS = {
+    "conv2d": ["name", "kind", "out_channels", "in_channels", "kernel_size", "stride",
+               "padding", "activation", "compress", "blob_offset", "blob_length"],
+    "fc": ["name", "kind", "out_features", "in_features", "activation", "compress",
+           "blob_offset", "blob_length"],
+    "groupconv": ["name", "kind", "out_channels", "in_channels", "kernel_size", "stride",
+                  "padding", "activation", "source", "groups"],
+    "affine_passthrough": ["name", "kind", "channels", "activation", "blob_offset",
+                           "blob_length", "bias_offset", "bias_length"],
+    "groups": ["filters", "channels", "blob_offset", "blob_length"],
+    "masks": ["bits"],
+    "groupings": ["num_groups", "assignment"],
+}
+MALFORMED = [(where, key) for where, keys in REQUIRED_KEYS.items() for key in keys]
+
+
+def every_kind_model(rng):
+    """conv -> affine -> pruned conv -> group conv -> pruned fc -> group fc."""
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    def pruned(layer):
+        layer.grouping = np.arange(layer.mask.shape[0], dtype=np.int64) % 2
+        layer.mask[layer.grouping == 1, 0] = False
+        apply_mask(layer)
+        return layer
+
+    group_conv = pruned(ConvLayer("gconv", f32(6, 6, 1, 1), f32(6)))
+    group_fc = pruned(FcLayer("gfc", f32(3, 5), f32(3)))
+    return Model(layers=[
+        ConvLayer("conv1", f32(4, 3, 3, 3), f32(4), activation="relu", compress=False),
+        AffineLayer("bn", f32(4), f32(4)),
+        pruned(ConvLayer("conv2", f32(6, 4, 3, 3), f32(6), activation="relu")),
+        convert_layer(group_conv),
+        pruned(FcLayer("fc", f32(5, 6 * 4 * 4), f32(5))),
+        convert_layer(group_fc),
+    ])
+
+
+def test_every_kind_model_roundtrips(tmp_path, rng):
+    model = every_kind_model(rng)
+    loaded, _, _ = save_load(model, tmp_path)
+    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+    np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
+
+
+@pytest.mark.parametrize("where,key", MALFORMED + [("layers", None)],
+                         ids=[f"{w}-{k}" for w, k in MALFORMED] + ["layers-not-a-list"])
+def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key):
+    manifest, blob = sgm_paths(tmp_path / "m")
+    save_model(every_kind_model(rng), manifest, blob)
+    doc = json.loads(manifest.read_text())
+    if where == "layers":
+        doc["layers"] = {rec["name"]: rec for rec in doc["layers"]}
+    elif where in ("masks", "groupings"):
+        del next(iter(doc[where].values()))[key]
+    else:
+        records = [rec for rec in doc["layers"] if rec["kind"] == where]
+        if where == "groups":
+            records = [rec["groups"][0] for rec in doc["layers"] if "groups" in rec]
+        assert records, where
+        del records[0][key]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        load_model(manifest, blob)
+    assert main(["report", "--model", str(manifest)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- datasets
 
 def test_dataset_roundtrip(tmp_path):
@@ -202,6 +276,20 @@ def test_dataset_truncation_and_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         load_dataset(path)
+    bad_headers = [
+        MAGIC + b"\x00" * 6,                              # 10 bytes: header cut short
+        MAGIC + struct.pack("<3i", -1, 2, 1) + struct.pack("<i", 4),  # negative count
+        MAGIC + struct.pack("<3i", 1, 2, -1),               # negative ndim
+        MAGIC + struct.pack("<3i", 1, 2, 3) + struct.pack("<i", 4),   # dims cut short
+        MAGIC + struct.pack("<3i", 1, 2, 1) + struct.pack("<i", -4),  # negative dim
+    ]
+    model_prefix = tmp_path / "toy"
+    save_model(build_toy_cnn(0), *sgm_paths(model_prefix))
+    for raw in bad_headers:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="header"):
+            load_dataset(path)
+        assert main(["eval", "--model", str(model_prefix), "--data", str(path)]) == 2
 
 
 def test_blob_generator_properties():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from sgconv.data import Dataset, make_blob_dataset
-from sgconv.model import FcLayer, Model, apply_mask, build_toy_cnn
-from sgconv.pipeline import (PruneSchedule, TrainConfig, evaluate, run_algorithm1,
-                             sgd_finetune)
+from sgconv.deploy import convert_model
+from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
+from sgconv.pipeline import (PruneSchedule, TrainConfig, _backward, _forward_cached,
+                             evaluate, run_algorithm1, sgd_finetune)
 from sgconv.pruning import model_dead_fraction
 
 
@@ -114,6 +115,33 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="momentum"):
         TrainConfig(momentum=1.0)
+
+
+def test_cached_forward_is_model_forward(rng):
+    # conv -> affine on (N,C,H,W) -> fc -> affine on (N,C): both affine broadcasts,
+    # with H = W != C so a broadcast along the wrong axis cannot go unnoticed
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    model = Model(layers=[
+        ConvLayer("conv", f32(4, 3, 3, 3), f32(4), activation="relu", compress=False),
+        AffineLayer("bn4d", f32(4), f32(4)),
+        FcLayer("fc", f32(5, 4 * 6 * 6), f32(5), activation="relu"),
+        AffineLayer("bn2d", f32(5), f32(5)),
+    ])
+    x = f32(7, 3, 8, 8)
+    out, caches = _forward_cached(model, x)
+    np.testing.assert_array_equal(out, model.forward(x))
+    assert out.dtype == np.float32
+    grads = _backward(caches, np.ones_like(out))
+    assert [layer.name for layer, _ in grads] == ["fc", "conv"]
+
+
+def test_finetune_after_deployment_names_the_group_layer():
+    train, _ = blob_split(5)
+    deployed = convert_model(build_toy_cnn(5))
+    with pytest.raises(ValueError, match=r"'fc1' \(groupconv\).*fine-tune before deployment"):
+        sgd_finetune(deployed, train, TrainConfig(epochs=1, seed=5))
 
 
 # ---------------------------------------------------------------- driver

@@ -83,6 +83,23 @@ def test_ratio_equals_mask_counting_exactly(rng):
         assert compression_ratio_layer(assignment, pruned) == mask_dead_fraction(mask)
 
 
+def test_bundle_states_match_per_group_loop(rng):
+    # arbitrary (not group-uniform) masks, and a group id nobody uses
+    for trial in range(30):
+        c_out, c_in = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        assignment = rng.integers(0, 4, c_out).astype(np.int64)
+        mask = rng.random((c_out, c_in)) < rng.random()
+        pruned = np.zeros((5, c_in), dtype=bool)
+        partial = np.zeros((5, c_in), dtype=bool)
+        for gid in range(5):
+            rows = ~mask[assignment == gid]
+            if len(rows):
+                pruned[gid] = rows.all(axis=0)
+                partial[gid] = rows.any(axis=0) & ~rows.all(axis=0)
+        np.testing.assert_array_equal(pruned_elements(mask, assignment, 5), pruned)
+        np.testing.assert_array_equal(partial_elements(mask, assignment, 5), partial)
+
+
 def test_network_ratio_single_layer_and_pooled(rng):
     assignment = random_group_assignment(rng, 6, 3)
     mask = random_group_mask(rng, assignment, 5)
