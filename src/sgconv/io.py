@@ -67,9 +67,13 @@ def _encode_mask(mask: np.ndarray) -> str:
     return base64.b64encode(np.packbits(mask.astype(np.uint8).ravel())).decode("ascii")
 
 
-def _decode_mask(text: str, shape) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(base64.b64decode(text), dtype=np.uint8),
-                         count=int(np.prod(shape)))
+def _decode_mask(text: str, shape, name) -> np.ndarray:
+    raw = base64.b64decode(text)
+    count = int(np.prod(shape))
+    if len(raw) != -(-count // 8):
+        raise ModelFormatError(f"{name}: mask bits hold {len(raw)} bytes, a "
+                               f"{shape[0]}x{shape[1]} mask needs {-(-count // 8)}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
     return bits.reshape(shape).astype(bool)
 
 
@@ -176,7 +180,7 @@ def _ref(table, rec, key, name):
 def _attach_mask_and_grouping(layer, rec, masks, groupings):
     if "mask_ref" in rec:
         bits = _ref(masks, rec, "mask_ref", layer.name)["bits"]
-        layer.mask = _decode_mask(bits, layer.mask.shape)
+        layer.mask = _decode_mask(bits, layer.mask.shape, layer.name)
     if "grouping_ref" in rec:
         entry = _ref(groupings, rec, "grouping_ref", layer.name)
         assignment = np.asarray(entry["assignment"], dtype=np.int64)

@@ -149,16 +149,24 @@ class GroupConvLayer:
     activation: str = "identity"
     source: str = "conv2d"             # "conv2d" or "fc": fc blocks run on flat input
     compress: bool = False
+    plan: ops.GroupExecPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Validate the blocks once; the plan views (never copies) their weights,
+        so the blocks are fixed from here on, though weights may change in place."""
+        if self.source not in ("conv2d", "fc") or (self.source == "fc" and self.kernel != 1):
+            raise ValueError(f"layer {self.name!r}: source {self.source!r} with kernel "
+                             f"{self.kernel} is neither conv2d nor a kernel-1 fc")
+        self.plan = ops.GroupExecPlan(
+            [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
+            self.out_channels, self.in_channels, self.kernel, self.name)
 
     def linear(self, x):
         if self.source == "fc":
             x = flatten_batch(x, self.in_channels, self.name)
-            triples = [(g.filter_indices, g.channel_indices, g.weight.reshape(g.weight.shape[:2]))
-                       for g in self.groups]
-            return ops.group_fc_forward(x, triples, self.out_channels, self.bias,
+            return ops.group_fc_forward(x, self.plan, self.out_channels, self.bias,
                                         name=self.name)
-        triples = [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups]
-        return ops.group_conv_forward(x, triples, self.out_channels, self.kernel, self.bias,
+        return ops.group_conv_forward(x, self.plan, self.out_channels, self.kernel, self.bias,
                                       stride=self.stride, padding=self.padding,
                                       name=self.name)
 

@@ -1,12 +1,11 @@
 """Dense array kernels: conv2d, fully-connected and grouped convolution.
 
-Every function here is pure and operates on plain numpy arrays. Model
-code feeds float32; the kernels preserve whatever dtype they receive so
-tests can run float64 finite differences through the same code path.
+Every function here is pure and operates on plain numpy arrays;
+GroupExecPlan holds a grouped layer's validated layout. Model code feeds
+float32; the kernels preserve whatever dtype they receive so tests can
+run float64 finite differences through the same code path.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -154,50 +153,127 @@ def _check_channel_range(chan_idx, c_in, name):
         raise ValueError(f"{name}: channel index out of range 0..{c_in - 1}")
 
 
-def _group_forward(x, groups, out_shape, bias, block_forward, name):
-    """Gather each group's input channels, run its block, scatter the result."""
-    _check_group_partition(groups, out_shape[1], name)
-    out = np.zeros(out_shape, dtype=x.dtype)
-    for filt_idx, chan_idx, w_g in groups:
-        filt_idx = np.asarray(filt_idx, dtype=np.int64)
-        chan_idx = np.asarray(chan_idx, dtype=np.int64)
-        if len(chan_idx) == 0:
-            continue
-        _check_channel_range(chan_idx, x.shape[1], name)
-        gathered = np.ascontiguousarray(x[:, chan_idx])  # keep BLAS on one code path
-        out[:, filt_idx] = block_forward(gathered, w_g, name=f"{name}.block")
-    if bias is not None:
-        out = out + np.asarray(bias).reshape(1, -1, *([1] * (out.ndim - 2)))
-    return out
+# Largest unfolded union (chunk samples x union channels x k*k x Ho*Wo) one
+# grouped conv holds at a time: 1 MiB of float32, so every group's row
+# gather reads columns that are still in cache.
+CHUNK_ELEMENTS = 1 << 18
+
+
+class GroupExecPlan:
+    """A grouped layer's blocks, validated once and laid out for its forward.
+
+    Built from (filter_indices, channel_indices, weight) triples; weights
+    are (n_f, n_c, k, k), or (n_f, n_c) with kernel 1. The filter lists
+    must partition 0..out_channels-1 and every channel index must lie in
+    0..in_channels-1. The plan keeps the sorted union of live channels
+    and, per block with channels, its filters, its row indices into the
+    union's unfolded (channel, ky, kx) columns and a 2-d view of its
+    weight. It iterates as the triples it was built from.
+    """
+
+    def __init__(self, groups, out_channels, in_channels, kernel, name="groupconv"):
+        _check_group_partition(groups, out_channels, name)
+        self.triples = [(np.asarray(f, dtype=np.int64), np.asarray(c, dtype=np.int64), w)
+                        for f, c, w in groups]
+        self.out_channels, self.in_channels = out_channels, in_channels
+        self.kernel, self.name = kernel, name
+        live = [c for f, c, _ in self.triples if len(f) and len(c)]
+        self.union = np.unique(np.concatenate(live)) if live else np.empty(0, dtype=np.int64)
+        _check_channel_range(self.union, in_channels, name)
+        taps = kernel * kernel
+        self.blocks = []
+        for gi, (f, c, w) in enumerate(self.triples):
+            if not (len(f) and len(c)):
+                continue
+            if w.shape[:2] != (len(f), len(c)) or w.size != len(f) * len(c) * taps:
+                raise ValueError(f"{name}: group {gi} weight {tuple(w.shape)} does not fit "
+                                 f"{len(f)} filters x {len(c)} channels x {kernel}x{kernel}")
+            rows = (np.searchsorted(self.union, c)[:, None] * taps + np.arange(taps)).ravel()
+            self.blocks.append((f, rows, w.reshape(len(f), len(c) * taps)))
+
+    def __iter__(self):
+        return iter(self.triples)
+
+    def __reduce__(self):  # copies rebuild their views on the copied weights
+        return GroupExecPlan, (self.triples, self.out_channels, self.in_channels,
+                               self.kernel, self.name)
+
+    def check_input(self, c_in, out_channels, kernel):
+        if c_in != self.in_channels:
+            raise ValueError(f"{self.name}: input has {c_in} channels, "
+                             f"weights expect {self.in_channels}")
+        if (out_channels, kernel) != (self.out_channels, self.kernel):
+            raise ValueError(f"{self.name}: plan is for {self.out_channels} outputs with "
+                             f"kernel {self.kernel}, called with {out_channels} and {kernel}")
+
+
+def _plan(groups, out_channels, c_in, kernel, name):
+    if not isinstance(groups, GroupExecPlan):
+        groups = GroupExecPlan(groups, out_channels, c_in, kernel, name)
+    groups.check_input(c_in, out_channels, kernel)
+    return groups
+
+
+def _add_bias(out, bias):
+    if bias is None:
+        return out
+    return out + np.asarray(bias).reshape(1, -1, *([1] * (out.ndim - 2)))
 
 
 def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
                        stride=1, padding=0, name="groupconv"):
     """Diverse group convolution: per-group channel gather, dense conv, scatter.
 
-    ``groups`` is a sequence of (filter_indices, channel_indices, weight)
-    triples. Each group gathers its input channels (duplicates across
-    groups are allowed, a channel may appear in no group), convolves them
-    with its own (n_f, n_c, k, k) block, and scatters the result to the
-    original filter positions. Filter index lists must partition
-    0..out_channels-1. A group whose channel list is empty contributes
-    bias only.
+    ``groups`` is a GroupExecPlan or a sequence of (filter_indices,
+    channel_indices, weight) triples, from which a plan is built for this
+    call. Each group convolves its input channels (duplicates across
+    groups are allowed, a channel may appear in no group) with its own
+    (n_f, n_c, k, k) block and scatters the result to the original filter
+    positions. Filter index lists must partition 0..out_channels-1. A
+    group whose channel list is empty contributes bias only.
+
+    Samples run in chunks whose unfolded union of live channels holds at
+    most CHUNK_ELEMENTS values: one gather and one unfold per chunk, then
+    one matmul per group on its rows of the unfolded columns. Each sample
+    sees the same GEMM shapes and summation order as a dense conv of the
+    gathered channels, so outputs do not depend on the chunk size.
     """
     if x.ndim != 4:
         raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
-    ho = conv_out_size(x.shape[2], kernel, stride, padding)
-    wo = conv_out_size(x.shape[3], kernel, stride, padding)
-    block = functools.partial(conv2d_forward, stride=stride, padding=padding)
-    return _group_forward(x, groups, (x.shape[0], out_channels, ho, wo), bias, block, name)
+    plan = _plan(groups, out_channels, x.shape[1], kernel, name)
+    n, _, h, w = x.shape
+    ho = conv_out_size(h, kernel, stride, padding)
+    wo = conv_out_size(w, kernel, stride, padding)
+    if ho < 1 or wo < 1:
+        raise ValueError(f"{name}: kernel {kernel} stride {stride} pad {padding} does not fit "
+                         f"input {h}x{w}")
+    out = np.zeros((n, out_channels, ho * wo), dtype=x.dtype)
+    if plan.blocks:
+        step = max(1, CHUNK_ELEMENTS // (len(plan.union) * kernel * kernel * ho * wo))
+        for lo in range(0, n, step):
+            union = np.take(x[lo:lo + step], plan.union, axis=1)
+            cols = _im2col(union, kernel, stride, padding)
+            for filt, rows, w2d in plan.blocks:
+                # take() returns C-contiguous rows, the layout _im2col gives a dense
+                # conv; a fancy-indexed middle axis may not, and BLAS would then
+                # run a different code path
+                out[lo:lo + step, filt] = np.matmul(w2d, np.take(cols, rows, axis=1))
+    return _add_bias(out.reshape(n, out_channels, ho, wo), bias)
 
 
 def group_fc_forward(x, groups, out_features, bias=None, *, name="groupfc"):
     """Grouped fully-connected layer on (N, C_in) input; blocks are (n_f, n_c).
 
-    Same gather/scatter contract as group_conv_forward, but each block
-    runs the fc matmul, so a single all-in group reproduces fc_forward
-    bit-exactly.
+    Same gather/scatter contract as group_conv_forward (kernel 1), but
+    each block runs the fc matmul on the whole batch, so a single all-in
+    group reproduces fc_forward bit-exactly.
     """
     if x.ndim != 2:
         raise ValueError(f"{name}: expected 2-d input (N,C_in), got shape {tuple(x.shape)}")
-    return _group_forward(x, groups, (x.shape[0], out_features), bias, fc_forward, name)
+    plan = _plan(groups, out_features, x.shape[1], 1, name)
+    out = np.zeros((x.shape[0], out_features), dtype=x.dtype)
+    if plan.blocks:
+        union = np.take(x, plan.union, axis=1)
+        for filt, rows, w2d in plan.blocks:
+            out[:, filt] = np.take(union, rows, axis=1) @ w2d.T
+    return _add_bias(out, bias)

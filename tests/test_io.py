@@ -189,6 +189,14 @@ REQUIRED_KEYS = {
     "groupings": ["num_groups", "assignment"],
 }
 MALFORMED = [(where, key) for where, keys in REQUIRED_KEYS.items() for key in keys]
+# (id, where, key, value): a field of the first record of ``where`` set to a bad value
+BAD_VALUES = [
+    ("groups-overlapping-filters", "groups", "filters", [0, 1, 4]),
+    ("groups-filters-not-a-partition", "groups", "filters", [0, 2, 7]),
+    ("groups-channel-out-of-range", "groups", "channels", [0, 1, 2, 3, 4, 6]),
+    ("masks-short-bits", "masks", "bits", "AAA="),
+    ("groupconv-unknown-source", "groupconv", "source", "pool"),
+]
 
 
 def every_kind_model(rng):
@@ -221,22 +229,34 @@ def test_every_kind_model_roundtrips(tmp_path, rng):
     np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
 
 
-@pytest.mark.parametrize("where,key", MALFORMED + [("layers", None)],
-                         ids=[f"{w}-{k}" for w, k in MALFORMED] + ["layers-not-a-list"])
-def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key):
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "where,key,value",
+    [(w, k, DELETE) for w, k in MALFORMED] + [("layers", None, DELETE)]
+    + [case[1:] for case in BAD_VALUES],
+    ids=[f"{w}-{k}" for w, k in MALFORMED] + ["layers-not-a-list"]
+    + [case[0] for case in BAD_VALUES])
+def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key, value):
     manifest, blob = sgm_paths(tmp_path / "m")
     save_model(every_kind_model(rng), manifest, blob)
     doc = json.loads(manifest.read_text())
     if where == "layers":
         doc["layers"] = {rec["name"]: rec for rec in doc["layers"]}
-    elif where in ("masks", "groupings"):
-        del next(iter(doc[where].values()))[key]
     else:
-        records = [rec for rec in doc["layers"] if rec["kind"] == where]
-        if where == "groups":
+        if where in ("masks", "groupings"):
+            records = list(doc[where].values())
+        elif where == "groups":
             records = [rec["groups"][0] for rec in doc["layers"] if "groups" in rec]
+        else:
+            records = [rec for rec in doc["layers"] if rec["kind"] == where]
         assert records, where
-        del records[0][key]
+        if value is DELETE:
+            del records[0][key]
+        else:
+            assert key in records[0] and records[0][key] != value
+            records[0][key] = value
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
         load_model(manifest, blob)

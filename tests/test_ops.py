@@ -1,8 +1,13 @@
 """Kernel tests against naive loop oracles and finite differences."""
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgconv import ops
+from sgconv.model import GroupBlock, GroupConvLayer
 
 
 # ---------------------------------------------------------------- oracles
@@ -276,6 +281,108 @@ def test_group_conv_errors(rng):
         ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 1]), w)], 4, 3)
     with pytest.raises(ValueError, match="out of range"):
         ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 7]), w)], 2, 3)
+    with pytest.raises(ValueError, match="group 0 weight"):
+        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 1, 2]), w)], 2, 3)
+    # a layer built for 8 input channels refuses 12, as the dense kernel does
+    layer = GroupConvLayer("conv2", [GroupBlock(np.arange(8), np.arange(8),
+                                                np.zeros((8, 8, 3, 3), np.float32))],
+                           in_channels=8, out_channels=8, kernel=3)
+    with pytest.raises(ValueError, match="conv2: input has 12 channels, weights expect 8"):
+        layer.linear(np.zeros((1, 12, 8, 8), np.float32))
+    big = np.zeros((2, 1, 5, 5), np.float32)
+    with pytest.raises(ValueError, match="conv2: kernel 5 stride 1 pad 0 does not fit input 2x2"):
+        ops.group_conv_forward(np.zeros((1, 1, 2, 2), np.float32),
+                               [(np.arange(2), np.arange(1), big)], 2, 5, name="conv2")
+
+
+def group_forward_reference(x, groups, out_channels, bias=None, *, stride=1, padding=0):
+    """The per-group loop the planned forward replaces: gather each group's
+    channels, run a dense conv (4-d input) or fc (2-d input) block on them,
+    scatter the block output to the group's filters, then add the bias."""
+    if x.ndim == 2:
+        out = np.zeros((x.shape[0], out_channels), dtype=x.dtype)
+    else:
+        _, _, k, _ = groups[0][2].shape
+        out = np.zeros((x.shape[0], out_channels,
+                        ops.conv_out_size(x.shape[2], k, stride, padding),
+                        ops.conv_out_size(x.shape[3], k, stride, padding)), dtype=x.dtype)
+    for filt, chan, w in groups:
+        if len(chan) == 0:
+            continue
+        gathered = np.ascontiguousarray(x[:, chan])
+        if x.ndim == 2:
+            out[:, filt] = ops.fc_forward(gathered, w.reshape(w.shape[:2]))
+        else:
+            out[:, filt] = ops.conv2d_forward(gathered, w, stride=stride, padding=padding)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, *([1] * (out.ndim - 2)))
+    return out
+
+
+@st.composite
+def grouped_layers(draw):
+    """A valid grouped layer, its input batch and a chunk size.
+
+    Filters are split into non-empty groups; each group reads any subset of
+    the input channels in any order (shared, unused and empty sets allowed).
+    """
+    fc = draw(st.booleans())
+    c_in, c_out = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kernel = 1 if fc else draw(st.sampled_from([1, 3, 5]))
+    stride = 1 if fc else draw(st.sampled_from([1, 2]))
+    padding = 0 if fc else draw(st.integers(0, 2))
+    size = max(1, kernel - 2 * padding) + draw(st.integers(0, 4))
+    order = draw(st.permutations(range(c_out)))
+    n_groups = draw(st.integers(1, c_out))
+    cuts = sorted(draw(st.sets(st.integers(1, c_out - 1), min_size=n_groups - 1,
+                               max_size=n_groups - 1))) if c_out > 1 else []
+    filters = [np.array(sorted(part), dtype=np.int64)
+               for part in np.split(np.array(order, dtype=np.int64), cuts)]
+    channels = [np.array(draw(st.lists(st.integers(0, c_in - 1), unique=True,
+                                       max_size=c_in)), dtype=np.int64) for _ in filters]
+    batch = draw(st.integers(1, 9))
+    chunk = draw(st.sampled_from([1, 40, 300, ops.CHUNK_ELEMENTS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [GroupBlock(f, c, rng.standard_normal((len(f), len(c), kernel, kernel))
+                         .astype(np.float32)) for f, c in zip(filters, channels)]
+    bias = rng.standard_normal(c_out).astype(np.float32) if draw(st.booleans()) else None
+    layer = GroupConvLayer("g", blocks, in_channels=c_in, out_channels=c_out, kernel=kernel,
+                           bias=bias, stride=stride, padding=padding,
+                           source="fc" if fc else "conv2d")
+    shape = (batch, c_in) if fc else (batch, c_in, size, size)
+    return layer, rng.standard_normal(shape).astype(np.float32), chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_layers())
+def test_planned_group_forward_is_bit_identical_to_group_loop(case):
+    layer, x, chunk = case
+    triples = [(g.filter_indices, g.channel_indices, g.weight) for g in layer.groups]
+    expected = group_forward_reference(x, triples, layer.out_channels, layer.bias,
+                                       stride=layer.stride, padding=layer.padding)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "CHUNK_ELEMENTS", chunk)
+        np.testing.assert_array_equal(layer.linear(x), expected)
+        if x.ndim == 4:  # raw triples build a plan for the call
+            got = ops.group_conv_forward(x, triples, layer.out_channels, layer.kernel,
+                                         layer.bias, stride=layer.stride, padding=layer.padding)
+        else:
+            got = ops.group_fc_forward(x, [(f, c, w.reshape(w.shape[:2])) for f, c, w in triples],
+                                       layer.out_channels, layer.bias)
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_group_plan_views_weights_and_copies_rebuild(rng):
+    w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+    layer = GroupConvLayer("g", [GroupBlock(np.arange(2), np.arange(3), w)],
+                           in_channels=3, out_channels=2, kernel=3)
+    assert [np.shares_memory(w2d, w) for _, _, w2d in layer.plan.blocks] == [True]
+    assert [triple[2] is w for triple in layer.plan] == [True]
+    twin = copy.deepcopy(layer)
+    twin.groups[0].weight += 1.0  # in place: the copy's plan must see it, the original not
+    x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+    np.testing.assert_array_equal(layer.linear(x), ops.conv2d_forward(x, w))
+    np.testing.assert_array_equal(twin.linear(x), ops.conv2d_forward(x, w + 1.0))
 
 
 def test_activations():
