@@ -137,9 +137,12 @@ def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
 
 def verify_equivalence(original: Model, deployed: Model, input_shape,
                        n_inputs: int = 100, seed=0, tol: float = 1e-5) -> float:
-    """Check deployed outputs against the masked dense forward, or raise."""
+    """Check deployed outputs against the masked dense forward, or raise.
+
+    A NaN deviation fails the check: NaN outputs prove no equivalence.
+    """
     dev = max_forward_deviation(original, deployed, input_shape, n_inputs, seed)
-    if dev > tol:
+    if not dev <= tol:
         raise EquivalenceError(
             f"deployed model deviates from masked dense forward: "
             f"max abs deviation {dev:.3e} > {tol:.1e}"

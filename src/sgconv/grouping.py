@@ -5,8 +5,11 @@ restarts. The quality figure of a grouping is the unsquared within-group
 distance sum (with group means as centroids), which is not quite what
 Lloyd minimizes; each restart is therefore polished by a deterministic
 single-point local search under the unsquared objective, and the best
-restart under that objective wins. The squared Lloyd objective is kept
-alongside for diagnostics.
+restart under that objective wins. The polish caches the cost of every
+candidate group with each point inserted or removed and recomputes only
+what a move changed, in stacked numpy calls that sum every group exactly
+as a lone cost call would, so its result does not depend on the caching.
+The squared Lloyd objective is kept alongside for diagnostics.
 """
 from __future__ import annotations
 
@@ -99,12 +102,37 @@ def _lloyd(vectors, num_groups, rng, max_iter):
     return assignment, centroids, trace
 
 
-def _group_cost(vectors, assignment, gid):
-    members = vectors[assignment == gid]
-    if len(members) == 0:
-        return 0.0
-    centroid = members.mean(axis=0)
-    return float(np.sqrt(((members - centroid) ** 2).sum(axis=1)).sum())
+# Largest stacked gather (rows x members x channels) the polish builds in
+# one cost call, unless a single row is larger. Rows are independent, so
+# how they are split never changes a value.
+CHUNK_ELEMENTS = 1 << 18
+
+
+def _stacked_costs(vectors, rows):
+    """Unsquared cost of each row's member set; rows is (k, m), index-sorted.
+
+    Every row is summed as a lone group would be (members in index order,
+    centroid = sum / m), so its cost does not depend on the other rows.
+    """
+    block = vectors[rows]  # (k, m, C)
+    centroid = block.sum(axis=1) / rows.shape[1]
+    return np.sqrt(((block - centroid[:, None, :]) ** 2).sum(axis=2)).sum(axis=1)
+
+
+def _rows_without(own, points):
+    """(k, m-1) rows: the sorted members ``own`` less each of ``points``."""
+    cols = np.arange(len(own) - 1)
+    return own[cols + (cols >= np.searchsorted(own, points)[:, None])]
+
+
+def _rows_with(own, points):
+    """(k, m+1) rows: the sorted members ``own`` plus each of ``points``, in order."""
+    m = len(own)
+    at = np.searchsorted(own, points)
+    cols = np.arange(m + 1)
+    rows = own[np.minimum(cols - (cols > at[:, None]), m - 1)]
+    rows[np.arange(len(points)), at] = points
+    return rows
 
 
 def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
@@ -113,35 +141,68 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     Lloyd converges to local optima of the squared objective; the two
     objectives rank partitions differently often enough to matter, so a
     deterministic polish under the reported metric follows every
-    restart. Moves that would empty a group are skipped. Cost per pass
-    is roughly quadratic in the filter count, fine at desk scale.
+    restart. Points are visited in index order and each moves at once to
+    the first group of largest gain, if that gain exceeds -1e-12. Moves
+    that would empty a group are skipped.
+
+    Candidate costs are cached: ``add[d, i]`` is the cost of group d with
+    point i inserted, ``rem[i]`` the cost of i's group without i. An
+    entry stays valid until a move changes the group it was computed
+    from. A stale entry is recomputed when its point is visited, together
+    with those of the points visited next, up to CHUNK_ELEMENTS values in
+    one stacked call. A pass without moves costs one length-g expression
+    per point.
     """
     assignment = assignment.copy()
-    sizes = np.bincount(assignment, minlength=num_groups)
-    costs = np.array([_group_cost(vectors, assignment, g) for g in range(num_groups)])
+    n, width = vectors.shape
+    if num_groups == 1 or num_groups >= n:
+        return assignment  # no other group, or all singletons: no legal move
+    members = [np.flatnonzero(assignment == d) for d in range(num_groups)]
+    costs = np.array([_stacked_costs(vectors, own[None])[0] for own in members])
+    # An entry records its group's stamp when computed; a move gives both
+    # of its groups a new tick. ``checked`` holds the tick at which all of
+    # a point's entries were last known valid.
+    stamp = np.zeros(num_groups, dtype=np.int64)
+    add, add_at = np.zeros((num_groups, n)), np.full((num_groups, n), -1)
+    rem, rem_at = np.zeros(n), np.full(n, -1)
+    tick = 0
+    checked = [-1] * n
+    cyclic = np.arange(2 * n) % n
+
+    def upcoming(idx, gid, inside, row_len):
+        order = cyclic[idx:idx + n]  # idx first, then visiting order
+        picked = order[(assignment[order] == gid) == inside]
+        return picked[:max(1, CHUNK_ELEMENTS // max(1, row_len * width))]
+
     for _ in range(max_passes):
         improved = False
-        for idx in range(len(vectors)):
+        for idx in range(n):
             src = int(assignment[idx])
-            if sizes[src] == 1:
+            own = members[src]
+            if len(own) == 1:
                 continue
-            best = (-1e-12, src, None, None)  # (gain, dst, new_src_cost, new_dst_cost)
-            for dst in range(num_groups):
-                if dst == src:
-                    continue
+            if checked[idx] != tick:
+                if rem_at[idx] != stamp[src]:
+                    points = upcoming(idx, src, True, len(own) - 1)
+                    rem[points] = _stacked_costs(vectors, _rows_without(own, points))
+                    rem_at[points] = stamp[src]
+                for d in np.flatnonzero(add_at[:, idx] != stamp):
+                    if d != src:
+                        points = upcoming(idx, d, False, len(members[d]) + 1)
+                        add[d, points] = _stacked_costs(vectors, _rows_with(members[d], points))
+                        add_at[d, points] = stamp[d]
+                checked[idx] = tick
+            gains = (costs[src] + costs) - (rem[idx] + add[:, idx])
+            gains[src] = -np.inf
+            dst = int(gains.argmax())
+            if gains[dst] > -1e-12:
                 assignment[idx] = dst
-                new_src = _group_cost(vectors, assignment, src)
-                new_dst = _group_cost(vectors, assignment, dst)
-                gain = (costs[src] + costs[dst]) - (new_src + new_dst)
-                if gain > best[0]:
-                    best = (gain, dst, new_src, new_dst)
-                assignment[idx] = src
-            gain, dst, new_src, new_dst = best
-            if dst != src:
-                assignment[idx] = dst
-                costs[src], costs[dst] = new_src, new_dst
-                sizes[src] -= 1
-                sizes[dst] += 1
+                costs[src], costs[dst] = rem[idx], add[dst, idx]
+                members[src] = own[own != idx]
+                members[dst] = np.insert(members[dst],
+                                         np.searchsorted(members[dst], idx), idx)
+                tick += 1
+                stamp[src] = stamp[dst] = tick
                 improved = True
         if not improved:
             break
@@ -153,11 +214,18 @@ def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *,
     """Cluster importance vectors into num_groups groups.
 
     Deterministic for a given (vectors, num_groups, seed). num_groups is
-    clamped to the number of vectors; fewer than one group is an error.
+    clamped to the number of vectors; fewer than one group, restart or
+    Lloyd iteration is an error, and so is a NaN or infinite entry.
     """
     if num_groups < 1:
         raise ValueError(f"num_groups must be >= 1, got {num_groups}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     vectors = np.asarray(vectors, dtype=np.float64)
+    if not np.isfinite(vectors).all():
+        raise ValueError("importance vectors must be finite (NaN or inf found)")
     num_groups = min(num_groups, len(vectors))
     rng = np.random.default_rng(seed)
     best = None

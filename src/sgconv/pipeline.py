@@ -70,6 +70,10 @@ class PruneSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        if self.num_groups < 1:
+            raise ValueError(f"num_groups must be >= 1, got {self.num_groups}")
+        if self.kmeans_restarts < 1:
+            raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
         if self.step <= 0:
             raise ValueError("pruning step must be positive: targets are unreachable otherwise")
         for kind, target in (("conv", self.target_conv), ("fc", self.target_fc)):
@@ -211,9 +215,12 @@ def _sync_bundles(layer, grouping: Grouping) -> int:
 def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> dict:
     """One compression step on one layer; returns its report record."""
     vectors = layer_importance(layer)
-    grouping = kmeans_cluster(vectors, schedule.num_groups,
-                              seed=[schedule.seed, 11, t, layer_index],
-                              restarts=schedule.kmeans_restarts)
+    try:
+        grouping = kmeans_cluster(vectors, schedule.num_groups,
+                                  seed=[schedule.seed, 11, t, layer_index],
+                                  restarts=schedule.kmeans_restarts)
+    except ValueError as exc:
+        raise ValueError(f"layer {layer.name!r}: {exc}") from exc
     synced = _sync_bundles(layer, grouping)
     if synced:
         # killed bundles changed the masked weights: refresh the centroid values

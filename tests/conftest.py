@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sgconv.model import ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
+
+# Property tests draw the same examples on every run, with no per-example
+# time limit, so a slow or busy machine cannot fail them by chance.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

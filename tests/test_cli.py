@@ -180,6 +180,30 @@ def test_bad_dataset_path_exits_2(workspace, capsys):
     assert code == 2
 
 
+def test_deploy_nan_output_exits_3(workspace, capsys):
+    model = load_model(workspace / "toy.sgm.json", workspace / "toy.sgm.bin")
+    model.layer("fc1").bias[0] = np.nan  # NaN in both models: no deviation is provable
+    save_model(model, workspace / "nan.sgm.json", workspace / "nan.sgm.bin")
+    code = main(["deploy", "--model", str(workspace / "nan.sgm.json"),
+                 "--out", str(workspace / "d")])
+    assert code == 3
+    assert "deviation nan" in capsys.readouterr().err
+    assert not (workspace / "d.sgm.json").exists()
+
+
+def test_prune_non_finite_weight_exits_2(workspace, capsys):
+    model = load_model(workspace / "toy.sgm.json", workspace / "toy.sgm.bin")
+    model.layer("conv2").weight[0, 0, 0, 0] = np.nan
+    save_model(model, workspace / "nan.sgm.json", workspace / "nan.sgm.bin")
+    code = main(["prune", "--model", str(workspace / "nan.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--step", "0.2",
+                 "--target-conv", "0.4", "--target-fc", "0.4", "--finetune", "none",
+                 "--out", str(workspace / "p")])
+    assert code == 2
+    assert "'conv2'" in capsys.readouterr().err
+    assert not (workspace / "p.report.json").exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["prune"])  # missing required flags

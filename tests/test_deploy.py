@@ -151,6 +151,14 @@ def test_equivalence_check_raises_on_corruption(rng):
         verify_equivalence(model, deployed, (3, 8, 8), seed=0)
 
 
+def test_equivalence_check_raises_on_nan_output():
+    model = build_toy_cnn(6)
+    deployed = convert_model(model)
+    deployed.layer("fc1").bias[0] = np.nan
+    with pytest.raises(EquivalenceError, match="deviation nan"):
+        verify_equivalence(model, deployed, (3, 8, 8), seed=0)
+
+
 # ---------------------------------------------------------------- accounting
 
 def test_flops_closed_form_conv():

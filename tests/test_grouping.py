@@ -3,7 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sgconv import grouping
 from sgconv.grouping import (Grouping, centroids_for, grouping_objective,
                              kmeans_cluster)
 
@@ -163,3 +166,146 @@ def test_objective_matches_direct_summation(rng):
         c = grouping.centroids[grouping.assignment[j]]
         direct += np.sqrt(((vec - c) ** 2).sum())
     assert grouping_objective(vectors, grouping) == pytest.approx(direct, abs=1e-6)
+
+
+def test_non_finite_vectors_rejected(rng):
+    vectors = rng.standard_normal((6, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = vectors.copy()
+        broken[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans_cluster(broken, 2, seed=0)
+
+
+def test_degenerate_arguments_rejected(rng):
+    vectors = rng.standard_normal((6, 3))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        kmeans_cluster(vectors, 3, 0, restarts=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        kmeans_cluster(vectors, 3, 0, max_iter=0)
+
+
+# ---------------------------------------------------------------- polish reference
+
+def group_cost_reference(vectors, assignment, gid):
+    members = vectors[assignment == gid]
+    if len(members) == 0:
+        return 0.0
+    centroid = members.mean(axis=0)
+    return float(np.sqrt(((members - centroid) ** 2).sum(axis=1)).sum())
+
+
+def refine_unsquared_reference(vectors, assignment, num_groups, max_passes=30):
+    """The polish as a plain loop: every candidate move re-costs both groups."""
+    assignment = assignment.copy()
+    sizes = np.bincount(assignment, minlength=num_groups)
+    costs = np.array([group_cost_reference(vectors, assignment, g)
+                      for g in range(num_groups)])
+    for _ in range(max_passes):
+        improved = False
+        for idx in range(len(vectors)):
+            src = int(assignment[idx])
+            if sizes[src] == 1:
+                continue
+            best = (-1e-12, src, None, None)  # (gain, dst, new_src_cost, new_dst_cost)
+            for dst in range(num_groups):
+                if dst == src:
+                    continue
+                assignment[idx] = dst
+                new_src = group_cost_reference(vectors, assignment, src)
+                new_dst = group_cost_reference(vectors, assignment, dst)
+                gain = (costs[src] + costs[dst]) - (new_src + new_dst)
+                if gain > best[0]:
+                    best = (gain, dst, new_src, new_dst)
+                assignment[idx] = src
+            gain, dst, new_src, new_dst = best
+            if dst != src:
+                assignment[idx] = dst
+                costs[src], costs[dst] = new_src, new_dst
+                sizes[src] -= 1
+                sizes[dst] += 1
+                improved = True
+        if not improved:
+            break
+    return assignment
+
+
+@st.composite
+def polish_cases(draw):
+    """Importance-like vectors, a start assignment using every group, a chunk size.
+
+    Styles cover exact ties (rounded values, duplicate rows, all-equal
+    rows) and tied or zero columns, where the move order decides the result.
+    """
+    n = draw(st.integers(2, 80))
+    width = draw(st.integers(1, 70))
+    num_groups = draw(st.one_of(st.integers(2, max(2, min(8, n - 1))),
+                                st.integers(1, n + 2)))
+    style = draw(st.sampled_from(["normal", "rounded", "zero-columns", "tied-columns",
+                                  "duplicates", "constant"]))
+    chunk = draw(st.sampled_from([1, 40, 300, grouping.CHUNK_ELEMENTS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = np.abs(rng.standard_normal((n, width)))
+    if style == "rounded":
+        vectors = np.round(vectors * 2) / 2
+    elif style == "zero-columns":
+        vectors[:, rng.random(width) < 0.5] = 0.0
+    elif style == "tied-columns":
+        vectors[:, :] = vectors[:, :1] * rng.integers(0, 3, width)
+    elif style == "duplicates":
+        vectors = vectors[rng.integers(0, max(1, n // 4), n)]
+    elif style == "constant":
+        vectors[:] = 1.5
+    start = min(num_groups, n)
+    assignment = np.concatenate([np.arange(start), rng.integers(0, start, n - start)])
+    return vectors, assignment[rng.permutation(n)], num_groups, chunk
+
+
+@settings(max_examples=100)
+@given(polish_cases())
+def test_stacked_candidate_costs_equal_lone_group_costs(case):
+    vectors, assignment, num_groups, _ = case
+    for gid in range(min(num_groups, len(vectors))):
+        own = np.flatnonzero(assignment == gid)
+        others = np.flatnonzero(assignment != gid)
+        trial = assignment.copy()
+        added = grouping._stacked_costs(vectors, grouping._rows_with(own, others))
+        for point, cost in zip(others, added):
+            trial[point] = gid
+            assert cost == group_cost_reference(vectors, trial, gid)
+            trial[point] = assignment[point]
+        if len(own) > 1:
+            removed = grouping._stacked_costs(vectors, grouping._rows_without(own, own))
+            for point, cost in zip(own, removed):
+                trial[point] = -1
+                assert cost == group_cost_reference(vectors, trial, gid)
+                trial[point] = gid
+
+
+@settings(max_examples=100)
+@given(polish_cases())
+def test_cached_polish_is_bit_identical_to_reference(case):
+    vectors, start, num_groups, chunk = case
+    num_groups = min(num_groups, len(vectors))
+    expected = refine_unsquared_reference(vectors, start, num_groups)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouping, "CHUNK_ELEMENTS", chunk)
+        got = grouping._refine_unsquared(vectors, start, num_groups)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(start, case[1])  # the input is not modified
+
+
+@settings(max_examples=15)
+@given(polish_cases())
+def test_kmeans_with_cached_polish_matches_reference(case):
+    vectors, _, num_groups, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouping, "CHUNK_ELEMENTS", chunk)
+        result = kmeans_cluster(vectors, num_groups, seed=7, restarts=2)
+        mp.setattr(grouping, "_refine_unsquared", refine_unsquared_reference)
+        reference = kmeans_cluster(vectors, num_groups, seed=7, restarts=2)
+    np.testing.assert_array_equal(result.assignment, reference.assignment)
+    np.testing.assert_array_equal(result.centroids, reference.centroids)
+    assert result.objective == reference.objective
+    assert result.sq_objective == reference.sq_objective
+    assert result.iteration_objectives == reference.iteration_objectives

@@ -281,6 +281,18 @@ def test_schedule_validation():
         PruneSchedule(finetune="sometimes")
     with pytest.raises(ValueError, match="target_fc"):
         PruneSchedule(target_fc=1.5)
+    with pytest.raises(ValueError, match="num_groups must be >= 1"):
+        PruneSchedule(num_groups=0)
+    with pytest.raises(ValueError, match="kmeans_restarts must be >= 1"):
+        PruneSchedule(kmeans_restarts=0)
+
+
+def test_non_finite_importance_names_the_layer():
+    model = build_toy_cnn(17)
+    model.layer("conv2").weight[3, 2, 1, 1] = np.nan
+    sched = PruneSchedule(step=0.2, target_conv=0.4, target_fc=0.4, finetune="none", seed=0)
+    with pytest.raises(ValueError, match="'conv2'.*finite"):
+        run_algorithm1(model, None, sched)
 
 
 def test_finetune_requires_dataset():
