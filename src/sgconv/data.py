@@ -10,6 +10,8 @@ float32):
     dims    int32 * ndim   per-sample feature shape
     features float32 * count * prod(dims)
     labels  int32 * count
+
+Nothing may follow the labels, and every feature must be finite.
 """
 from __future__ import annotations
 
@@ -60,10 +62,15 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: negative dims {dims} in dataset header")
     size = math.prod(dims)
     feat_len = count * size * 4
-    if len(raw) < offset + feat_len + count * 4:
+    end = offset + feat_len + count * 4
+    if len(raw) < end:
         raise ValueError(f"{path}: truncated dataset file")
+    if len(raw) > end:
+        raise ValueError(f"{path}: {len(raw) - end} bytes past the labels")
     features = np.frombuffer(raw, dtype="<f4", count=count * size,
                              offset=offset).reshape(count, *dims).copy()
+    if not np.isfinite(features).all():
+        raise ValueError(f"{path}: non-finite feature values")
     labels = np.frombuffer(raw, dtype="<i4", count=count, offset=offset + feat_len).copy()
     if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"{path}: labels outside [0, {num_classes})")

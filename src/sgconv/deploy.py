@@ -141,6 +141,8 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
 
     A NaN deviation fails the check: NaN outputs prove no equivalence.
     """
+    if n_inputs < 1:
+        raise ValueError(f"equivalence check needs at least 1 input, got n_inputs={n_inputs}")
     dev = max_forward_deviation(original, deployed, input_shape, n_inputs, seed)
     if not dev <= tol:
         raise EquivalenceError(

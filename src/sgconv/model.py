@@ -2,8 +2,11 @@
 
 A model is an ordered list of layer records. Each layer kind is one class
 with the five methods callers use instead of branching on ``kind``:
-``linear(x)`` (pre-activation output), ``backward(x, dz)`` -> (dx,
-(dweight, dbias) or None when frozen), ``out_shape(shape)``,
+``linear(x, saved=None)`` (pre-activation output; a trainer passes a
+dict in which the layer keeps what its backward can reuse; backward
+takes it out of the dict again, so it lives no longer than the step),
+``backward(x, dz, saved=None, need_dx=True)`` -> (dx, or None without
+need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``,
 ``macs(shape)`` per sample, and ``params()``. The file format stays in
 io.py. Connection masks live on conv/fc layers as (C_out, C_in) boolean
 arrays; a dead conv connection stands for the whole zeroed k x k kernel.
@@ -75,13 +78,14 @@ class ConvLayer(_MaskedLayer):
     mask: np.ndarray = None            # bool (C_out, C_in); all-keep by default
     grouping: np.ndarray | None = None  # int group id per filter, set by the pipeline
 
-    def linear(self, x):
+    def linear(self, x, saved=None):
         return ops.conv2d_forward(x, self.weight, self.bias, stride=self.stride,
-                                  padding=self.padding, name=self.name)
+                                  padding=self.padding, name=self.name, saved=saved)
 
-    def backward(self, x, dz):
+    def backward(self, x, dz, saved=None, need_dx=True):
         dx, dw, db = ops.conv2d_backward(dz, x, self.weight, stride=self.stride,
-                                         padding=self.padding, name=self.name)
+                                         padding=self.padding, name=self.name,
+                                         cols=(saved or {}).pop("cols", None), need_dx=need_dx)
         return dx, (dw, db)
 
     def out_shape(self, shape):
@@ -108,14 +112,14 @@ class FcLayer(_MaskedLayer):
     mask: np.ndarray = None
     grouping: np.ndarray | None = None
 
-    def linear(self, x):
+    def linear(self, x, saved=None):
         x = flatten_batch(x, self.weight.shape[1], self.name)
         return ops.fc_forward(x, self.weight, self.bias, name=self.name)
 
-    def backward(self, x, dz):
+    def backward(self, x, dz, saved=None, need_dx=True):
         flat = flatten_batch(x, self.weight.shape[1], self.name)
-        dx, dw, db = ops.fc_backward(dz, flat, self.weight, name=self.name)
-        return dx.reshape(x.shape), (dw, db)
+        dx, dw, db = ops.fc_backward(dz, flat, self.weight, name=self.name, need_dx=need_dx)
+        return None if dx is None else dx.reshape(x.shape), (dw, db)
 
     def out_shape(self, shape):
         return _flat_out_shape(self.name, shape, self.weight.shape[1], self.weight.shape[0])
@@ -161,7 +165,7 @@ class GroupConvLayer:
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
             self.out_channels, self.in_channels, self.kernel, self.name)
 
-    def linear(self, x):
+    def linear(self, x, saved=None):
         if self.source == "fc":
             x = flatten_batch(x, self.in_channels, self.name)
             return ops.group_fc_forward(x, self.plan, self.out_channels, self.bias,
@@ -170,7 +174,7 @@ class GroupConvLayer:
                                       stride=self.stride, padding=self.padding,
                                       name=self.name)
 
-    def backward(self, x, dz):
+    def backward(self, x, dz, saved=None, need_dx=True):
         raise ValueError(f"layer {self.name!r} ({self.kind}) has no backward support; "
                          f"fine-tune before deployment, not after")
 
@@ -208,11 +212,11 @@ class AffineLayer:
     def _per_channel(self, v, ndim):
         return v.reshape(1, -1, *([1] * (ndim - 2)))
 
-    def linear(self, x):
+    def linear(self, x, saved=None):
         return x * self._per_channel(self.scale, x.ndim) + self._per_channel(self.shift, x.ndim)
 
-    def backward(self, x, dz):
-        return dz * self._per_channel(self.scale, dz.ndim), None
+    def backward(self, x, dz, saved=None, need_dx=True):
+        return (dz * self._per_channel(self.scale, dz.ndim) if need_dx else None), None
 
     def out_shape(self, shape):
         return tuple(shape)

@@ -62,11 +62,14 @@ def _col2im(dcols, x_shape, kernel, stride, padding):
     return dpad
 
 
-def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d"):
+def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d",
+                   saved=None):
     """2-d convolution of (N,C_in,H,W) with (C_out,C_in,k,k) filters.
 
     Bias is added per output channel when given, otherwise treated as
     zero. Raises ValueError on any shape mismatch, naming the layer.
+    When ``saved`` is a dict, the unfolded input columns are stored in it
+    under "cols", for conv2d_backward to reuse instead of unfolding again.
     """
     if x.ndim != 4:
         raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
@@ -85,6 +88,8 @@ def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d"):
             f"input {x.shape[2]}x{x.shape[3]}"
         )
     cols = _im2col(x, kernel, stride, padding)
+    if saved is not None:
+        saved["cols"] = cols
     out = np.matmul(weight.reshape(c_out, -1), cols)
     out = out.reshape(x.shape[0], c_out, ho, wo)
     if bias is not None:
@@ -92,11 +97,15 @@ def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d"):
     return out
 
 
-def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d"):
+def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d",
+                    cols=None, need_dx=True):
     """Gradients of conv2d_forward w.r.t. input, weights and bias.
 
-    Returns (dx, dweight, dbias). Masked/pruned entries are NOT zeroed
-    here; mask enforcement belongs to the training loop.
+    Returns (dx, dweight, dbias). ``cols`` are x's unfolded columns as
+    conv2d_forward saved them; x is unfolded here when they are not given.
+    With ``need_dx`` false, dx is None and its GEMM and scatter are skipped.
+    Masked/pruned entries are NOT zeroed here; mask enforcement belongs to
+    the training loop.
     """
     c_out, c_in, kernel, _ = weight.shape
     ho = conv_out_size(x.shape[2], kernel, stride, padding)
@@ -104,13 +113,16 @@ def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d"):
     expected = (x.shape[0], c_out, ho, wo)
     if tuple(dout.shape) != expected:
         raise ValueError(f"{name}: upstream gradient shape {tuple(dout.shape)} != {expected}")
-    cols = _im2col(x, kernel, stride, padding)
+    if cols is None:
+        cols = _im2col(x, kernel, stride, padding)
     dout_flat = dout.reshape(x.shape[0], c_out, ho * wo)
     dweight = np.matmul(dout_flat, cols.transpose(0, 2, 1)).sum(axis=0)
     dweight = dweight.reshape(weight.shape)
     dbias = dout.sum(axis=(0, 2, 3))
-    dcols = np.matmul(weight.reshape(c_out, -1).T, dout_flat)
-    dx = _col2im(dcols, x.shape, kernel, stride, padding)
+    dx = None
+    if need_dx:
+        dcols = np.matmul(weight.reshape(c_out, -1).T, dout_flat)
+        dx = _col2im(dcols, x.shape, kernel, stride, padding)
     return dx, dweight, dbias
 
 
@@ -128,12 +140,13 @@ def fc_forward(x, weight, bias=None, *, name="fc"):
     return out
 
 
-def fc_backward(dout, x, weight, *, name="fc"):
-    """Gradients of fc_forward; returns (dx, dweight, dbias)."""
+def fc_backward(dout, x, weight, *, name="fc", need_dx=True):
+    """Gradients of fc_forward; returns (dx, dweight, dbias), dx None
+    without ``need_dx``."""
     expected = (x.shape[0], weight.shape[0])
     if tuple(dout.shape) != expected:
         raise ValueError(f"{name}: upstream gradient shape {tuple(dout.shape)} != {expected}")
-    dx = dout @ weight
+    dx = dout @ weight if need_dx else None
     dweight = dout.T @ x
     dbias = dout.sum(axis=0)
     return dx, dweight, dbias

@@ -44,8 +44,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_finetune_settings({"epochs": self.epochs}, {"lr": self.lr}, self.batch_size)
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -85,6 +84,22 @@ class PruneSchedule:
                 )
         if self.finetune not in FINETUNE_MODES:
             raise ValueError(f"finetune must be one of {FINETUNE_MODES}, got {self.finetune!r}")
+        _check_finetune_settings(
+            {"local_epochs": self.local_epochs, "global_epochs": self.global_epochs},
+            {"local_lr": self.local_lr, "global_lr": self.global_lr}, self.batch_size)
+
+
+def _check_finetune_settings(epochs: dict, lrs: dict, batch_size: int) -> None:
+    """Reject negative epoch counts, negative or non-finite learning rates
+    and batch sizes below 1, naming the setting."""
+    for key, value in epochs.items():
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
+    for key, value in lrs.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{key} must be finite and >= 0, got {value}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
 def _softmax_cross_entropy(logits, labels):
@@ -100,21 +115,29 @@ def _softmax_cross_entropy(logits, labels):
 
 
 def _forward_cached(model, x):
+    """Model output and, per layer, (layer, input, pre-activation, saved):
+    what _backward needs, including the conv layers' unfolded inputs."""
     caches = []
     for layer in model.layers:
-        z = layer.linear(x)
-        caches.append((layer, x, z))
+        saved = {}
+        z = layer.linear(x, saved)
+        caches.append((layer, x, z, saved))
         x = ops.apply_activation(z, layer.activation)
     return x, caches
 
 
 def _backward(caches, dlogits):
-    """(layer, (dweight, dbias)) for every trainable layer, last layer first."""
+    """(layer, (dweight, dbias)) for every trainable layer, last layer first.
+
+    Nothing reads the gradient of the model's input, so the first layer
+    does not compute it.
+    """
     grads = []
     d = dlogits
-    for layer, x_in, z in reversed(caches):
+    for depth in reversed(range(len(caches))):
+        layer, x_in, z, saved = caches[depth]
         d = ops.activation_backward(d, z, layer.activation)
-        d, layer_grads = layer.backward(x_in, d)
+        d, layer_grads = layer.backward(x_in, d, saved, need_dx=depth > 0)
         if layer_grads is not None:
             grads.append((layer, layer_grads))
     return grads
@@ -124,17 +147,20 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
     """SGD with momentum and weight decay; trains the model in place.
 
     Pruned connections are re-zeroed after every update, so dead
-    connections never revive. Returns per-epoch training accuracy.
-    Raises RuntimeError if the loss stops being finite, and ValueError
-    for a deployed model, whose group layers have no backward pass.
+    connections never revive. Returns each epoch's mean training loss
+    over its samples, each batch's loss taken before that batch's update;
+    call evaluate for accuracy. Raises RuntimeError if the loss stops
+    being finite, and ValueError for a deployed model, whose group layers
+    have no backward pass.
     """
     if dataset is None or len(dataset) == 0:
         raise ValueError("fine-tuning needs a non-empty dataset")
     rng = np.random.default_rng(config.seed)
     velocity = {}
-    trace = []
+    losses = []
     n = len(dataset)
     for epoch in range(config.epochs):
+        total_loss = 0.0
         lr = config.lr * config.lr_decay ** sum(epoch >= m for m in config.lr_milestones)
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         for start in range(0, n, config.batch_size):
@@ -149,6 +175,7 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
                 raise RuntimeError(
                     f"training diverged: loss={loss} at epoch {epoch}, batch {start // config.batch_size}"
                 )
+            total_loss += loss * len(idx)
             for layer, (dw, db) in _backward(caches, dlogits):
                 if layer.name not in velocity:
                     velocity[layer.name] = (
@@ -164,8 +191,8 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
                     vb += db
                     layer.bias -= (lr * vb).astype(layer.bias.dtype, copy=False)
                 apply_mask(layer)
-        trace.append(evaluate(model, dataset)["top1"])
-    return trace
+        losses.append(total_loss / n)
+    return losses
 
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int = 512) -> dict:

@@ -219,6 +219,38 @@ def test_invalid_schedule_exits_2(workspace, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, setting", [
+    (["--finetune", "local+global", "--local-epochs", "-3", "--global-epochs", "-1"],
+     "local_epochs"),
+    (["--global-epochs", "-1"], "global_epochs"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--local-lr", "nan"], "local_lr"),
+    (["--global-lr", "-0.01"], "global_lr"),
+])
+def test_bad_finetune_settings_exit_2_before_pruning(workspace, capsys, monkeypatch,
+                                                      flags, setting):
+    def no_pruning(*args, **kwargs):
+        raise AssertionError("the schedule should be rejected before pruning starts")
+
+    monkeypatch.setattr("sgconv.cli.run_algorithm1", no_pruning)
+    code = main(["prune", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--step", "0.2",
+                 "--target-conv", "0.4", "--target-fc", "0.4", *flags,
+                 "--out", str(workspace / "x")])
+    assert code == 2
+    assert setting in capsys.readouterr().err
+    assert not (workspace / "x.sgm.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_deploy_check_inputs_below_1_exits_2(workspace, capsys, count):
+    code = main(["deploy", "--model", str(workspace / "toy.sgm.json"),
+                 "--check-inputs", count, "--out", str(workspace / "d")])
+    assert code == 2
+    assert f"n_inputs={count}" in capsys.readouterr().err
+    assert not (workspace / "d.sgm.json").exists()
+
+
 def test_prune_deterministic_given_seed(workspace):
     argv = ["prune", "--model", str(workspace / "toy.sgm.json"),
             "--data", str(workspace / "train.sgd"), "--step", "0.2",

@@ -151,6 +151,13 @@ def test_equivalence_check_raises_on_corruption(rng):
         verify_equivalence(model, deployed, (3, 8, 8), seed=0)
 
 
+def test_equivalence_check_needs_an_input():
+    model = build_toy_cnn(6)
+    for count in (0, -5):
+        with pytest.raises(ValueError, match=f"n_inputs={count}"):
+            verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=count)
+
+
 def test_equivalence_check_raises_on_nan_output():
     model = build_toy_cnn(6)
     deployed = convert_model(model)

@@ -290,9 +290,22 @@ def test_dataset_truncation_and_magic(tmp_path):
     ds = make_blob_dataset(8, seed=0)
     path = tmp_path / "d.sgd"
     save_dataset(ds, path)
-    path.write_bytes(path.read_bytes()[:-8])
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_dataset(path)
+    model_prefix = tmp_path / "toy"
+    save_model(build_toy_cnn(0), *sgm_paths(model_prefix))
+    ds.features[3, 1, 4, 4] = np.nan  # one NaN pixel
+    save_dataset(ds, path)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+    assert main(["eval", "--model", str(model_prefix), "--data", str(path)]) == 2
+    path.write_bytes(whole + b"\x00" * 400)
+    with pytest.raises(ValueError, match="400 bytes past the labels") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
     path.write_bytes(b"XXXX" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         load_dataset(path)
@@ -303,8 +316,6 @@ def test_dataset_truncation_and_magic(tmp_path):
         MAGIC + struct.pack("<3i", 1, 2, 3) + struct.pack("<i", 4),   # dims cut short
         MAGIC + struct.pack("<3i", 1, 2, 1) + struct.pack("<i", -4),  # negative dim
     ]
-    model_prefix = tmp_path / "toy"
-    save_model(build_toy_cnn(0), *sgm_paths(model_prefix))
     for raw in bad_headers:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="header"):

@@ -89,8 +89,8 @@ def test_pruned_connections_stay_exactly_zero(rng):
 def test_blob_training_reaches_95_percent():
     train, _ = blob_split(2)
     model = build_toy_cnn(2)
-    trace = sgd_finetune(model, train, TrainConfig(epochs=5, lr=0.01, seed=2))
-    assert trace[-1] >= 0.95
+    sgd_finetune(model, train, TrainConfig(epochs=5, lr=0.01, seed=2))
+    assert evaluate(model, train)["top1"] >= 0.95
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -115,6 +115,14 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="momentum"):
         TrainConfig(momentum=1.0)
+
+
+def test_train_config_rejects_bad_epochs_and_lr():
+    for field, bad in [("epochs", -1), ("lr", -0.01), ("lr", float("nan")),
+                       ("lr", float("inf"))]:
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: bad})
+    assert TrainConfig(epochs=0, lr=0.0).epochs == 0
 
 
 def test_cached_forward_is_model_forward(rng):
@@ -285,6 +293,11 @@ def test_schedule_validation():
         PruneSchedule(num_groups=0)
     with pytest.raises(ValueError, match="kmeans_restarts must be >= 1"):
         PruneSchedule(kmeans_restarts=0)
+    for field, bad in [("local_epochs", -3), ("global_epochs", -1), ("batch_size", 0),
+                       ("local_lr", -1e-3), ("local_lr", float("nan")),
+                       ("global_lr", float("inf")), ("global_lr", -0.5)]:
+        with pytest.raises(ValueError, match=field):
+            PruneSchedule(**{field: bad})
 
 
 def test_non_finite_importance_names_the_layer():
