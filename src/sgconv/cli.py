@@ -99,6 +99,7 @@ def cmd_report(args) -> int:
         "network_ratio": compression_ratio_network(model_ratio_items(model)),
         "layers": [],
     }
+    layer_shape = tuple(int(v) for v in shape)
     for layer in model.layers:
         entry = {"name": layer.name, "kind": layer.kind}
         if layer.kind in ("conv2d", "fc"):
@@ -106,7 +107,9 @@ def cmd_report(args) -> int:
             entry["compress"] = layer.compress
         elif layer.kind == "groupconv":
             entry["groups"] = len(layer.groups)
+            entry.update(layer.execution(layer_shape))
         info["layers"].append(entry)
+        layer_shape = layer.out_shape(layer_shape)
     if args.json:
         Path(args.json).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n",
                                    encoding="utf-8")
@@ -119,7 +122,11 @@ def cmd_report(args) -> int:
             extra = f"  dead {entry['dead_fraction']:.4f}" + \
                 ("" if entry["compress"] else "  (not compressed)")
         elif "groups" in entry:
-            extra = f"  groups {entry['groups']}"
+            lo, hi = entry["filters_per_block"]
+            extra = (f"  groups {entry['groups']}  executor {entry['executor']}"
+                     f"  filters/block {lo}-{hi}  union {entry['union_fraction']:.3f}"
+                     f"  gathered rows {entry['gathered_rows_ratio']:.3f}"
+                     f"  flops executed {entry['flops_executed']} billed {entry['flops_billed']}")
         print(f"  {entry['name']:<12} {entry['kind']:<18}{extra}")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupBlock, GroupConvLayer, Model, is_compressible
+from .model import GroupBlock, GroupConvLayer, Model, is_compressible, layer_forward
 
 
 class GranularityError(Exception):
@@ -125,14 +125,28 @@ def infer_input_shape(model: Model, max_size: int = 64):
     raise ValueError(f"could not infer an input shape up to {max_size}x{max_size}")
 
 
+def _random_inputs(input_shape, n_inputs, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n_inputs, *input_shape)).astype(np.float32)
+
+
 def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
                           n_inputs: int = 100, seed=0) -> float:
     """Largest |a - b| over random standard-normal inputs."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_inputs, *input_shape)).astype(np.float32)
-    ya = model_a.forward(x)
-    yb = model_b.forward(x)
-    return float(np.max(np.abs(ya - yb)))
+    x = _random_inputs(input_shape, n_inputs, seed)
+    return float(np.max(np.abs(model_a.forward(x) - model_b.forward(x))))
+
+
+def _first_layer_over(model_a: Model, model_b: Model, x, tol):
+    """Run both models side by side, layer by layer; the name and deviation
+    of the first layer whose outputs differ by more than ``tol``."""
+    xa = xb = x
+    for layer_a, layer_b in zip(model_a.layers, model_b.layers):
+        xa, xb = layer_forward(layer_a, xa), layer_forward(layer_b, xb)
+        dev = float(np.max(np.abs(xa - xb)))
+        if not dev <= tol:
+            return layer_b.name, dev
+    return None
 
 
 def verify_equivalence(original: Model, deployed: Model, input_shape,
@@ -140,13 +154,18 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     """Check deployed outputs against the masked dense forward, or raise.
 
     A NaN deviation fails the check: NaN outputs prove no equivalence.
+    A failed check is rerun layer by layer on the same inputs, and the
+    error names the first layer over tolerance.
     """
     if n_inputs < 1:
         raise ValueError(f"equivalence check needs at least 1 input, got n_inputs={n_inputs}")
     dev = max_forward_deviation(original, deployed, input_shape, n_inputs, seed)
     if not dev <= tol:
-        raise EquivalenceError(
-            f"deployed model deviates from masked dense forward: "
-            f"max abs deviation {dev:.3e} > {tol:.1e}"
-        )
+        message = (f"deployed model deviates from masked dense forward: "
+                   f"max abs deviation {dev:.3e} > {tol:.1e}")
+        first = _first_layer_over(original, deployed,
+                                  _random_inputs(input_shape, n_inputs, seed), tol)
+        if first is not None:
+            message += f"; first layer over tolerance: {first[0]!r} ({first[1]:.3e})"
+        raise EquivalenceError(message)
     return dev

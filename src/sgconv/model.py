@@ -156,14 +156,15 @@ class GroupConvLayer:
     plan: ops.GroupExecPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Validate the blocks once; the plan views (never copies) their weights,
-        so the blocks are fixed from here on, though weights may change in place."""
+        """Validate the blocks once and choose the executor; the plan views their
+        weights and may snapshot them, so the blocks are fixed from here on and
+        their weights are read-only (an in-place edit raises)."""
         if self.source not in ("conv2d", "fc") or (self.source == "fc" and self.kernel != 1):
             raise ValueError(f"layer {self.name!r}: source {self.source!r} with kernel "
                              f"{self.kernel} is neither conv2d nor a kernel-1 fc")
         self.plan = ops.GroupExecPlan(
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
-            self.out_channels, self.in_channels, self.kernel, self.name)
+            self.out_channels, self.in_channels, self.kernel, self.name, freeze=True)
 
     def linear(self, x, saved=None):
         if self.source == "fc":
@@ -185,14 +186,31 @@ class GroupConvLayer:
                                self.kernel, self.stride, self.padding)
 
     def macs(self, shape):
-        block_macs = sum(g.weight.size for g in self.groups)
         if self.source == "fc":
-            return block_macs
+            return self.plan.block_macs
         _, ho, wo = self.out_shape(shape)
-        return block_macs * ho * wo
+        return self.plan.block_macs * ho * wo
 
     def params(self):
         return sum(g.weight.size for g in self.groups) + _bias_size(self.bias)
+
+    def execution(self, shape):
+        """How the plan runs on a per-sample input ``shape``: its executor, the
+        block layout it chose from, and the FLOPs executed next to those billed
+        by macs() (they differ when the dense GEMM runs)."""
+        plan, taps = self.plan, self.kernel ** 2
+        positions = 1 if self.source == "fc" else int(np.prod(self.out_shape(shape)[1:]))
+        executed = (self.out_channels * self.in_channels * taps if plan.executor == "dense"
+                    else plan.block_macs)
+        filters = [len(g.filter_indices) for g in self.groups]
+        return {
+            "executor": plan.executor,
+            "filters_per_block": [min(filters, default=0), max(filters, default=0)],
+            "union_fraction": len(plan.union) / max(self.in_channels, 1),
+            "gathered_rows_ratio": plan.gathered_rows / max(len(plan.union) * taps, 1),
+            "flops_billed": 2 * self.macs(shape),
+            "flops_executed": 2 * executed * positions,
+        }
 
 
 @dataclass

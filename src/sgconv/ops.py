@@ -1,9 +1,12 @@
 """Dense array kernels: conv2d, fully-connected and grouped convolution.
 
 Every function here is pure and operates on plain numpy arrays;
-GroupExecPlan holds a grouped layer's validated layout. Model code feeds
-float32; the kernels preserve whatever dtype they receive so tests can
-run float64 finite differences through the same code path.
+GroupExecPlan holds a grouped layer's validated layout and the executor
+its forward runs on: the grouped blocks, or one dense conv2d/fc call on
+the zero-filled weight rebuilt from them, whichever a fixed cost model
+bills less. Model code feeds float32; the kernels preserve whatever dtype
+they receive so tests can run float64 finite differences through the
+same code path.
 """
 from __future__ import annotations
 
@@ -171,25 +174,48 @@ def _check_channel_range(chan_idx, c_in, name):
 # gather reads columns that are still in cache.
 CHUNK_ELEMENTS = 1 << 18
 
+# Cost of gathering one value of a block's rows, in block multiply-adds,
+# for choosing a plan's executor. Per output position the grouped blocks
+# are billed sum(n_f * K_b) + GATHER_COST * sum(K_b), with n_f a block's
+# filters and K_b its channels x k*k; one dense GEMM is billed
+# C_out * C_in * k*k. Derived from the per-layer table of the benchmark's
+# deployed nets (one BLAS thread, batch 1 and 64): the blocks lost to
+# dense on every layer whose break-even cost (dense - block MACs) / sum(K_b)
+# is at most 4.3 (the toy net's conv2 and fc1 and the wide nets' fc1, all
+# one-filter blocks, up to 19x slower) and beat it at batch 64 on every
+# layer where it is at least 24 (the wide nets' conv2-conv4, eight
+# 8-filter blocks, 1.3-1.8x faster). Timed alone, one gathered value cost
+# 5-14 block MACs on those 8-filter blocks; 8 lies inside both ranges.
+GATHER_COST = 8
+
 
 class GroupExecPlan:
     """A grouped layer's blocks, validated once and laid out for its forward.
 
     Built from (filter_indices, channel_indices, weight) triples; weights
     are (n_f, n_c, k, k), or (n_f, n_c) with kernel 1. The filter lists
-    must partition 0..out_channels-1 and every channel index must lie in
-    0..in_channels-1. The plan keeps the sorted union of live channels
-    and, per block with channels, its filters, its row indices into the
-    union's unfolded (channel, ky, kx) columns and a 2-d view of its
-    weight. It iterates as the triples it was built from.
+    must partition 0..out_channels-1, every channel index must lie in
+    0..in_channels-1 and no block may list a channel twice. The plan keeps
+    the sorted union of live channels and, per block with channels, its
+    filters, its row indices into the union's unfolded (channel, ky, kx)
+    columns and a 2-d view of its weight. It iterates as the triples it
+    was built from.
+
+    ``executor`` is "dense" when one GEMM on the zero-filled
+    (C_out, C_in, k, k) weight is billed less than the blocks (see
+    GATHER_COST), else "grouped". A dense plan holds that weight in
+    ``dense_weight``, a snapshot taken at build time; with ``freeze`` the
+    block weights are made read-only so that an in-place edit raises
+    instead of leaving the snapshot stale. Copies freeze their own weights.
     """
 
-    def __init__(self, groups, out_channels, in_channels, kernel, name="groupconv"):
+    def __init__(self, groups, out_channels, in_channels, kernel, name="groupconv",
+                 freeze=False):
         _check_group_partition(groups, out_channels, name)
         self.triples = [(np.asarray(f, dtype=np.int64), np.asarray(c, dtype=np.int64), w)
                         for f, c, w in groups]
         self.out_channels, self.in_channels = out_channels, in_channels
-        self.kernel, self.name = kernel, name
+        self.kernel, self.name, self.freeze = kernel, name, freeze
         live = [c for f, c, _ in self.triples if len(f) and len(c)]
         self.union = np.unique(np.concatenate(live)) if live else np.empty(0, dtype=np.int64)
         _check_channel_range(self.union, in_channels, name)
@@ -201,15 +227,33 @@ class GroupExecPlan:
             if w.shape[:2] != (len(f), len(c)) or w.size != len(f) * len(c) * taps:
                 raise ValueError(f"{name}: group {gi} weight {tuple(w.shape)} does not fit "
                                  f"{len(f)} filters x {len(c)} channels x {kernel}x{kernel}")
+            if len(np.unique(c)) != len(c):
+                raise ValueError(f"{name}: group {gi} lists an input channel twice")
             rows = (np.searchsorted(self.union, c)[:, None] * taps + np.arange(taps)).ravel()
             self.blocks.append((f, rows, w.reshape(len(f), len(c) * taps)))
+        if freeze:
+            for _, _, w in self.triples:
+                w.flags.writeable = False
+        self.block_macs = sum(w2d.size for _, _, w2d in self.blocks)
+        self.gathered_rows = sum(len(rows) for _, rows, _ in self.blocks)
+        grouped_cost = self.block_macs + GATHER_COST * self.gathered_rows
+        self.executor = "dense" if out_channels * in_channels * taps < grouped_cost else "grouped"
+        self.dense_weight = None
+        if self.executor == "dense":
+            dense = np.zeros((out_channels, in_channels, taps),
+                             dtype=np.result_type(*(w2d for _, _, w2d in self.blocks)))
+            for f, c, w in self.triples:
+                if len(f) and len(c):
+                    dense[np.ix_(f, c)] = w.reshape(len(f), len(c), taps)
+            dense.flags.writeable = False
+            self.dense_weight = dense.reshape(out_channels, in_channels, kernel, kernel)
 
     def __iter__(self):
         return iter(self.triples)
 
     def __reduce__(self):  # copies rebuild their views on the copied weights
         return GroupExecPlan, (self.triples, self.out_channels, self.in_channels,
-                               self.kernel, self.name)
+                               self.kernel, self.name, self.freeze)
 
     def check_input(self, c_in, out_channels, kernel):
         if c_in != self.in_channels:
@@ -245,15 +289,21 @@ def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
     positions. Filter index lists must partition 0..out_channels-1. A
     group whose channel list is empty contributes bias only.
 
-    Samples run in chunks whose unfolded union of live channels holds at
-    most CHUNK_ELEMENTS values: one gather and one unfold per chunk, then
-    one matmul per group on its rows of the unfolded columns. Each sample
-    sees the same GEMM shapes and summation order as a dense conv of the
-    gathered channels, so outputs do not depend on the chunk size.
+    A plan whose executor is "dense" runs one conv2d_forward on its
+    zero-filled weight, so the output is bit-identical to the masked
+    dense layer it came from. A "grouped" plan runs samples in chunks
+    whose unfolded union of live channels holds at most CHUNK_ELEMENTS
+    values: one gather and one unfold per chunk, then one matmul per
+    group on its rows of the unfolded columns. Each sample sees the same
+    GEMM shapes and summation order as a dense conv of the gathered
+    channels, so outputs do not depend on the chunk size.
     """
     if x.ndim != 4:
         raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
     plan = _plan(groups, out_channels, x.shape[1], kernel, name)
+    if plan.dense_weight is not None:
+        return conv2d_forward(x, plan.dense_weight, bias, stride=stride, padding=padding,
+                              name=name)
     n, _, h, w = x.shape
     ho = conv_out_size(h, kernel, stride, padding)
     wo = conv_out_size(w, kernel, stride, padding)
@@ -277,13 +327,15 @@ def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
 def group_fc_forward(x, groups, out_features, bias=None, *, name="groupfc"):
     """Grouped fully-connected layer on (N, C_in) input; blocks are (n_f, n_c).
 
-    Same gather/scatter contract as group_conv_forward (kernel 1), but
-    each block runs the fc matmul on the whole batch, so a single all-in
-    group reproduces fc_forward bit-exactly.
+    Same gather/scatter contract and executor choice as group_conv_forward
+    (kernel 1): a "dense" plan runs one fc_forward on its zero-filled
+    weight, and each grouped block runs the fc matmul on the whole batch.
     """
     if x.ndim != 2:
         raise ValueError(f"{name}: expected 2-d input (N,C_in), got shape {tuple(x.shape)}")
     plan = _plan(groups, out_features, x.shape[1], 1, name)
+    if plan.dense_weight is not None:
+        return fc_forward(x, plan.dense_weight.reshape(out_features, -1), bias, name=name)
     out = np.zeros((x.shape[0], out_features), dtype=x.dtype)
     if plan.blocks:
         union = np.take(x, plan.union, axis=1)

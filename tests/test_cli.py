@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from sgconv import cli
 from sgconv.cli import main
 from sgconv.data import make_blob_dataset, save_dataset
+from sgconv.deploy import convert_model
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import build_toy_cnn
 from sgconv.pipeline import TrainConfig, sgd_finetune
+from test_deploy import corrupt_first_block
 
 
 @pytest.fixture
@@ -128,6 +131,36 @@ def test_report_json_output(workspace, tmp_path):
     assert doc["params"] == 2098
 
 
+def test_report_shows_executor_of_deployed_layers(workspace, capsys):
+    code = main(["prune", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--groups", "8", "--step", "0.4",
+                 "--target-conv", "0.8", "--target-fc", "0.6", "--finetune", "none",
+                 "--out", str(workspace / "p")])
+    assert code == 0
+    assert main(["deploy", "--model", str(workspace / "p.sgm.json"),
+                 "--out", str(workspace / "d")]) == 0
+    # one-filter groups run as one dense GEMM, bit-identical to the masked model
+    assert "max abs deviation 0.000e+00" in capsys.readouterr().out
+    code = main(["report", "--model", str(workspace / "d.sgm.json"),
+                 "--json", str(workspace / "r.json")])
+    assert code == 0
+    out = capsys.readouterr().out
+    doc = json.loads((workspace / "r.json").read_text())
+    layers = {entry["name"]: entry for entry in doc["layers"]}
+    conv2, fc1 = layers["conv2"], layers["fc1"]
+    assert (conv2["executor"], fc1["executor"]) == ("dense", "dense")
+    assert (conv2["groups"], conv2["filters_per_block"]) == (8, [1, 1])
+    assert fc1["groups"] == 8  # 10 filters in 8 groups
+    assert conv2["flops_executed"] == 2 * 8 * 8 * 9 * 4 * 4  # dense 8->8 k3 on 4x4 out
+    assert fc1["flops_executed"] == 2 * 10 * 128
+    assert doc["flops"] == 2 * 8 * 3 * 9 * 6 * 6 + conv2["flops_billed"] + fc1["flops_billed"]
+    for entry in (conv2, fc1):
+        assert entry["flops_billed"] < entry["flops_executed"]
+        assert 0 < entry["union_fraction"] <= 1 and entry["gathered_rows_ratio"] >= 1
+    assert "executor dense  filters/block 1-1" in out
+    assert doc["schema_version"] == 1
+
+
 def test_sweep_grid_rows_and_scope(workspace):
     out_csv = workspace / "sweep.csv"
     code = main(["sweep", "--model", str(workspace / "toy.sgm.json"),
@@ -188,6 +221,16 @@ def test_deploy_nan_output_exits_3(workspace, capsys):
                  "--out", str(workspace / "d")])
     assert code == 3
     assert "deviation nan" in capsys.readouterr().err
+    assert not (workspace / "d.sgm.json").exists()
+
+
+def test_deploy_corrupt_block_exits_3_naming_the_layer(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "convert_model",
+                        lambda m: corrupt_first_block(convert_model(m), "conv2"))
+    code = main(["deploy", "--model", str(workspace / "toy.sgm.json"),
+                 "--out", str(workspace / "d")])
+    assert code == 3
+    assert "first layer over tolerance: 'conv2'" in capsys.readouterr().err
     assert not (workspace / "d.sgm.json").exists()
 
 

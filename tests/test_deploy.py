@@ -1,14 +1,18 @@
 """Group-plan construction, conversion equivalence, params/FLOPs accounting."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_chain_model
+from sgconv import deploy
 from sgconv.deploy import (GranularityError, build_group_plan, convert_layer,
                            convert_model, count_flops, count_params,
                            infer_input_shape, max_forward_deviation,
                            verify_equivalence, EquivalenceError)
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
+from sgconv.model import (ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
+                          build_toy_cnn)
 
 
 def test_plan_single_cluster_nothing_pruned():
@@ -143,12 +147,35 @@ def test_convert_missing_grouping_on_pruned_layer(rng):
         convert_layer(layer)
 
 
+def corrupt_first_block(deployed, name, delta=0.1):
+    """The deployed model with layer ``name`` rebuilt from its blocks, the
+    first block's weights shifted by ``delta``: deployed block weights are
+    read-only, so corruption means building a new layer."""
+    layer = deployed.layer(name)
+    blocks = [GroupBlock(g.filter_indices, g.channel_indices,
+                         g.weight + (delta if i == 0 else 0.0))
+              for i, g in enumerate(layer.groups)]
+    bad = dataclasses.replace(layer, groups=blocks)
+    return Model(layers=[bad if l.name == name else l for l in deployed.layers])
+
+
 def test_equivalence_check_raises_on_corruption(rng):
     model = build_toy_cnn(6)
-    deployed = convert_model(model)
-    deployed.layer("conv2").groups[0].weight += 0.1
+    deployed = corrupt_first_block(convert_model(model), "conv2")
     with pytest.raises(EquivalenceError, match="max abs deviation"):
         verify_equivalence(model, deployed, (3, 8, 8), seed=0)
+
+
+def test_failed_equivalence_check_names_the_first_layer_over_tolerance(monkeypatch):
+    model = build_toy_cnn(6)
+    deployed = corrupt_first_block(convert_model(model), "conv2")
+    with pytest.raises(EquivalenceError, match="first layer over tolerance: 'conv2'"):
+        verify_equivalence(model, deployed, (3, 8, 8), seed=0)
+    # a passing check runs the whole-model comparison only
+    calls = []
+    monkeypatch.setattr(deploy, "_first_layer_over", lambda *a: calls.append(a))
+    verify_equivalence(model, convert_model(model), (3, 8, 8), seed=0)
+    assert calls == []
 
 
 def test_equivalence_check_needs_an_input():

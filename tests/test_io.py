@@ -194,6 +194,7 @@ BAD_VALUES = [
     ("groups-overlapping-filters", "groups", "filters", [0, 1, 4]),
     ("groups-filters-not-a-partition", "groups", "filters", [0, 2, 7]),
     ("groups-channel-out-of-range", "groups", "channels", [0, 1, 2, 3, 4, 6]),
+    ("groups-channel-twice", "groups", "channels", [0, 1, 2, 3, 4, 4]),
     ("masks-short-bits", "masks", "bits", "AAA="),
     ("groupconv-unknown-source", "groupconv", "source", "pool"),
 ]

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgconv import ops
-from sgconv.model import GroupBlock, GroupConvLayer
+from sgconv.deploy import convert_model
+from sgconv.model import GroupBlock, GroupConvLayer, apply_mask, build_toy_cnn
 
 
 # ---------------------------------------------------------------- oracles
@@ -283,6 +284,8 @@ def test_group_conv_errors(rng):
         ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 7]), w)], 2, 3)
     with pytest.raises(ValueError, match="group 0 weight"):
         ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 1, 2]), w)], 2, 3)
+    with pytest.raises(ValueError, match="group 0 lists an input channel twice"):
+        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([1, 1]), w)], 2, 3)
     # a layer built for 8 input channels refuses 12, as the dense kernel does
     layer = GroupConvLayer("conv2", [GroupBlock(np.arange(8), np.arange(8),
                                                 np.zeros((8, 8, 3, 3), np.float32))],
@@ -353,36 +356,103 @@ def grouped_layers(draw):
     return layer, rng.standard_normal(shape).astype(np.float32), chunk
 
 
-@settings(max_examples=300, deadline=None)
-@given(grouped_layers())
-def test_planned_group_forward_is_bit_identical_to_group_loop(case):
-    layer, x, chunk = case
-    triples = [(g.filter_indices, g.channel_indices, g.weight) for g in layer.groups]
-    expected = group_forward_reference(x, triples, layer.out_channels, layer.bias,
-                                       stride=layer.stride, padding=layer.padding)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ops, "CHUNK_ELEMENTS", chunk)
-        np.testing.assert_array_equal(layer.linear(x), expected)
-        if x.ndim == 4:  # raw triples build a plan for the call
-            got = ops.group_conv_forward(x, triples, layer.out_channels, layer.kernel,
-                                         layer.bias, stride=layer.stride, padding=layer.padding)
+def zero_filled_weight(triples, out_channels, in_channels, kernel):
+    """The (C_out, C_in, k, k) dense weight the blocks stand for: each block's
+    weights at its (filter, channel) positions, zero elsewhere."""
+    dense = np.zeros((out_channels, in_channels, kernel, kernel), np.float32)
+    for filt, chan, w in triples:
+        dense[np.ix_(filt, chan)] = w.reshape(len(filt), len(chan), kernel, kernel)
+    return dense
+
+
+def test_planned_group_forward_is_bit_identical_to_group_loop():
+    """Grouped-executed layers match the per-group loop bit for bit, and
+    dense-executed ones the dense kernel on the zero-filled weight; both
+    executors occur among the generated layers."""
+    executors = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_layers())
+    def check(case):
+        layer, x, chunk = case
+        triples = [(g.filter_indices, g.channel_indices, g.weight) for g in layer.groups]
+        executors.add(layer.plan.executor)
+        if layer.plan.executor == "grouped":
+            expected = group_forward_reference(x, triples, layer.out_channels, layer.bias,
+                                               stride=layer.stride, padding=layer.padding)
         else:
-            got = ops.group_fc_forward(x, [(f, c, w.reshape(w.shape[:2])) for f, c, w in triples],
-                                       layer.out_channels, layer.bias)
-        np.testing.assert_array_equal(got, expected)
+            dense = zero_filled_weight(triples, layer.out_channels, layer.in_channels,
+                                       layer.kernel)
+            expected = (ops.conv2d_forward(x, dense, layer.bias, stride=layer.stride,
+                                           padding=layer.padding) if x.ndim == 4 else
+                        ops.fc_forward(x, dense.reshape(dense.shape[:2]), layer.bias))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "CHUNK_ELEMENTS", chunk)
+            np.testing.assert_array_equal(layer.linear(x), expected)
+            if x.ndim == 4:  # raw triples build a plan for the call
+                got = ops.group_conv_forward(x, triples, layer.out_channels, layer.kernel,
+                                             layer.bias, stride=layer.stride,
+                                             padding=layer.padding)
+            else:
+                got = ops.group_fc_forward(x, [(f, c, w.reshape(w.shape[:2]))
+                                               for f, c, w in triples],
+                                           layer.out_channels, layer.bias)
+            np.testing.assert_array_equal(got, expected)
+
+    check()
+    assert executors == {"grouped", "dense"}
+
+
+def test_executor_choice_on_one_filter_and_eight_filter_blocks(rng):
+    # the toy net pruned with one filter per group: both layers run dense
+    model = build_toy_cnn(0)
+    for layer, keep in ((model.layer("conv2"), 2), (model.layer("fc1"), 50)):
+        c_out, c_in = layer.mask.shape
+        layer.grouping = np.arange(c_out)
+        layer.mask[:] = False
+        for f in range(c_out):
+            layer.mask[f, rng.choice(c_in, keep, replace=False)] = True
+        apply_mask(layer)
+    deployed = convert_model(model)
+    assert [deployed.layer(n).plan.executor for n in ("conv2", "fc1")] == ["dense", "dense"]
+    x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    np.testing.assert_array_equal(deployed.forward(x), model.forward(x))
+    # 64 channels, eight 8-filter blocks on 16 channels each: stays grouped
+    blocks = [GroupBlock(np.arange(8 * g, 8 * g + 8), np.sort(rng.choice(64, 16, replace=False)),
+                         rng.standard_normal((8, 16, 3, 3)).astype(np.float32))
+              for g in range(8)]
+    wide = GroupConvLayer("conv2", blocks, in_channels=64, out_channels=64, kernel=3)
+    assert wide.plan.executor == "grouped"
 
 
 def test_group_plan_views_weights_and_copies_rebuild(rng):
-    w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-    layer = GroupConvLayer("g", [GroupBlock(np.arange(2), np.arange(3), w)],
-                           in_channels=3, out_channels=2, kernel=3)
+    # 4 filters on 1 of 8 channels: the blocks are billed less than dense
+    w = rng.standard_normal((4, 1, 3, 3)).astype(np.float32)
+    layer = GroupConvLayer("g", [GroupBlock(np.arange(4), np.array([2]), w)],
+                           in_channels=8, out_channels=4, kernel=3)
+    assert layer.plan.executor == "grouped"
     assert [np.shares_memory(w2d, w) for _, _, w2d in layer.plan.blocks] == [True]
     assert [triple[2] is w for triple in layer.plan] == [True]
+    with pytest.raises(ValueError, match="read-only"):
+        layer.groups[0].weight += 1.0  # a dense plan's snapshot would go stale
     twin = copy.deepcopy(layer)
-    twin.groups[0].weight += 1.0  # in place: the copy's plan must see it, the original not
-    x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
-    np.testing.assert_array_equal(layer.linear(x), ops.conv2d_forward(x, w))
-    np.testing.assert_array_equal(twin.linear(x), ops.conv2d_forward(x, w + 1.0))
+    assert twin.plan is not layer.plan and twin.groups[0].weight is not w
+    assert [np.shares_memory(w2d, twin.groups[0].weight)
+            for _, _, w2d in twin.plan.blocks] == [True]
+    with pytest.raises(ValueError, match="read-only"):
+        twin.groups[0].weight += 1.0
+    x = rng.standard_normal((2, 8, 5, 5)).astype(np.float32)
+    np.testing.assert_array_equal(twin.linear(x), layer.linear(x))
+    # arrays passed as raw triples are left as they were, on either executor
+    executors = []
+    for chan in (np.array([2]), np.arange(8)):
+        raw = rng.standard_normal((4, len(chan), 3, 3)).astype(np.float32)
+        before = raw.copy()
+        ops.group_conv_forward(x, [(np.arange(4), chan, raw)], 4, 3)
+        assert raw.flags.writeable
+        np.testing.assert_array_equal(raw, before)
+        executors.append(ops.GroupExecPlan([(np.arange(4), chan, raw)], 4, 8, 3).executor)
+    assert executors == ["grouped", "dense"]
 
 
 def test_activations():
