@@ -8,12 +8,11 @@ dense blocks with a verified forward-equivalence check (deploy).
 """
 
 from .data import Dataset, load_dataset, make_blob_dataset, save_dataset
-from .deploy import (EquivalenceError, GranularityError, GroupConvPlan,
-                     build_group_plan, convert_layer, convert_model, count_flops,
-                     count_params, infer_input_shape, max_forward_deviation,
+from .deploy import (EquivalenceError, GranularityError, convert_layer, convert_model,
+                     count_flops, count_params, infer_input_shape, max_forward_deviation,
                      verify_equivalence)
 from .grouping import Grouping, grouping_objective, kmeans_cluster
-from .importance import importance_conv, importance_fc, layer_importance
+from .importance import importance_conv, layer_importance
 from .io import (ModelFormatError, OverlappingRangesError, TruncatedBlobError,
                  VersionMismatchError, load_model, save_model, sgm_paths)
 from .model import (AffineLayer, ConvLayer, FcLayer, GroupBlock, GroupConvLayer,

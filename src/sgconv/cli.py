@@ -18,10 +18,10 @@ from .deploy import (EquivalenceError, GranularityError, convert_model, count_fl
                      count_params, infer_input_shape, verify_equivalence)
 from .io import ModelFormatError, load_model, save_model, sgm_paths
 from .pipeline import PruneSchedule, evaluate, run_algorithm1
-from .pruning import (compression_ratio_network, mask_dead_fraction, model_dead_fraction,
-                      model_ratio_items)
+from .pruning import model_ratios
 
 SWEEP_SCHEMA_VERSION = 1
+RATIO_FIELDS = ("conv_ratio", "fc_ratio", "network_ratio")
 
 
 def _load(model_arg):
@@ -94,21 +94,13 @@ def cmd_report(args) -> int:
         "params": count_params(model),
         "flops": count_flops(model, shape),
         "input_shape": list(int(v) for v in shape),
-        "conv_ratio": model_dead_fraction(model, "conv2d"),
-        "fc_ratio": model_dead_fraction(model, "fc"),
-        "network_ratio": compression_ratio_network(model_ratio_items(model)),
+        **model_ratios(model),
         "layers": [],
     }
     layer_shape = tuple(int(v) for v in shape)
     for layer in model.layers:
-        entry = {"name": layer.name, "kind": layer.kind}
-        if layer.kind in ("conv2d", "fc"):
-            entry["dead_fraction"] = mask_dead_fraction(layer.mask)
-            entry["compress"] = layer.compress
-        elif layer.kind == "groupconv":
-            entry["groups"] = len(layer.groups)
-            entry.update(layer.execution(layer_shape))
-        info["layers"].append(entry)
+        info["layers"].append({"name": layer.name, "kind": layer.kind,
+                               **layer.describe(layer_shape)})
         layer_shape = layer.out_shape(layer_shape)
     if args.json:
         Path(args.json).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n",
@@ -144,9 +136,7 @@ def _sweep_cell(base_model, dataset, test_set, args, groups, step, scope, seed):
     acc = report["accuracy_after"]
     return {
         "status": "ok",
-        "conv_ratio": f"{report['final']['conv_ratio']:.6f}",
-        "fc_ratio": f"{report['final']['fc_ratio']:.6f}",
-        "network_ratio": f"{report['final']['network_ratio']:.6f}",
+        **{key: f"{report['final'][key]:.6f}" for key in RATIO_FIELDS},
         "top1": f"{acc['top1']:.6f}" if acc else "",
         "top5": f"{acc['top5']:.6f}" if acc and acc["top5"] is not None else "",
     }
@@ -168,7 +158,7 @@ def cmd_sweep(args) -> int:
     cells = list(itertools.product(groups_grid, steps_grid, scopes_grid, seeds_grid))
 
     fields = ["schema_version", "groups", "step", "scope", "seed", "status",
-              "conv_ratio", "fc_ratio", "network_ratio", "top1", "top5"]
+              *RATIO_FIELDS, "top1", "top5"]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
@@ -179,8 +169,8 @@ def cmd_sweep(args) -> int:
                 row.update(_sweep_cell(model, dataset, test_set, args,
                                        groups, step, scope, seed))
             except Exception as exc:  # per-cell failures must not abort the sweep
-                row.update(status=f"error: {exc}", conv_ratio="", fc_ratio="",
-                           network_ratio="", top1="", top5="")
+                row.update(dict.fromkeys((*RATIO_FIELDS, "top1", "top5"), ""),
+                           status=f"error: {exc}")
             writer.writerow(row)
     print(f"wrote {args.out} ({len(cells)} rows)")
     return 0

@@ -10,11 +10,10 @@ checked against the masked dense forward before it is trusted.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupBlock, GroupConvLayer, Model, is_compressible, layer_forward
+from .model import GroupBlock, GroupConvLayer, Model, layer_forward
 
 
 class GranularityError(Exception):
@@ -25,67 +24,43 @@ class EquivalenceError(Exception):
     """Converted model disagrees with the masked dense forward."""
 
 
-@dataclass
-class GroupConvPlan:
-    groups: list          # of (filter_indices, channel_indices) int arrays
-    output_perm: np.ndarray  # concatenated filter indices; a true permutation
-
-
-def build_group_plan(assignment: np.ndarray, mask: np.ndarray,
-                     num_groups: int | None = None) -> GroupConvPlan:
-    """Plan one block per group: member filters and surviving channels.
-
-    Groups whose channels are all pruned get an empty channel list (their
-    filters emit bias only). Raises GranularityError when the mask rows
-    of a group disagree.
-    """
-    if num_groups is None:
-        num_groups = int(assignment.max()) + 1
-    groups = []
-    for gid in range(num_groups):
-        filt = np.flatnonzero(assignment == gid)
-        rows = mask[filt]
-        if len(filt) and not (rows == rows[0]).all():
-            raise GranularityError(
-                f"group {gid}: filters {filt.tolist()} carry different channel masks"
-            )
-        channels = np.flatnonzero(rows[0]) if len(filt) else np.empty(0, dtype=np.int64)
-        groups.append((filt, channels))
-    output_perm = np.concatenate([f for f, _ in groups]) if groups else np.empty(0, np.int64)
-    if not np.array_equal(np.sort(output_perm), np.arange(mask.shape[0])):
-        raise ValueError("group filter lists do not partition the filter set")
-    return GroupConvPlan(groups=groups, output_perm=output_perm)
-
-
 def convert_layer(layer):
     """Rewrite a masked conv/fc layer as an equivalent group-conv layer.
 
-    A compressible layer that was never clustered is treated as a single
-    all-filter group, provided its mask is still all-keep.
+    Each group becomes one block: its filters, in ascending order, and the
+    input channels their mask rows keep. Groups whose channels are all
+    pruned get an empty channel list (their filters emit bias only). A
+    compressible layer that was never clustered is treated as a single
+    all-filter group, provided its mask is still all-keep. Raises
+    GranularityError when the mask rows of a group disagree.
     """
     assignment = layer.grouping
     if assignment is None:
         if not layer.mask.all():
             raise ValueError(f"layer {layer.name!r} is pruned but has no grouping")
         assignment = np.zeros(layer.mask.shape[0], dtype=np.int64)
-    plan = build_group_plan(assignment, layer.mask)
-    conv = layer.kind == "conv2d"
-    weight = layer.weight if conv else layer.weight[:, :, None, None]
-    blocks = [GroupBlock(filter_indices=filt, channel_indices=channels,
-                         weight=np.ascontiguousarray(weight[np.ix_(filt, channels)]))
-              for filt, channels in plan.groups]
+    blocks = []
+    for gid in range(int(assignment.max()) + 1):
+        filt = np.flatnonzero(assignment == gid)
+        rows = layer.mask[filt]
+        if len(filt) and not (rows == rows[0]).all():
+            raise GranularityError(f"layer {layer.name!r} group {gid}: filters "
+                                   f"{filt.tolist()} carry different channel masks")
+        channels = np.flatnonzero(rows[0]) if len(filt) else np.empty(0, dtype=np.int64)
+        blocks.append(GroupBlock(filt, channels, np.ascontiguousarray(
+            layer.kernels[np.ix_(filt, channels)])))
     return GroupConvLayer(
         name=layer.name, groups=blocks,
         in_channels=layer.mask.shape[1], out_channels=layer.mask.shape[0],
-        kernel=weight.shape[2], bias=None if layer.bias is None else layer.bias.copy(),
-        stride=layer.stride if conv else 1, padding=layer.padding if conv else 0,
+        kernel=layer.kernel, bias=None if layer.bias is None else layer.bias.copy(),
+        stride=layer.stride, padding=layer.padding,
         activation=layer.activation, source=layer.kind,
     )
 
 
 def convert_model(model: Model) -> Model:
     """Deploy: replace every compressible masked layer by group-conv blocks."""
-    return Model(layers=[convert_layer(layer) if is_compressible(layer)
+    return Model(layers=[convert_layer(layer) if layer.compress
                          else copy.deepcopy(layer) for layer in model.layers])
 
 
@@ -159,6 +134,8 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     """
     if n_inputs < 1:
         raise ValueError(f"equivalence check needs at least 1 input, got n_inputs={n_inputs}")
+    if not tol >= 0:
+        raise ValueError(f"equivalence tolerance must be a number >= 0, got tol={tol}")
     dev = max_forward_deviation(original, deployed, input_shape, n_inputs, seed)
     if not dev <= tol:
         message = (f"deployed model deviates from masked dense forward: "

@@ -1,9 +1,10 @@
 """Per-filter channel-importance matrices for conv and fc layers.
 
 Each layer yields a (C_out, C_in) non-negative matrix: row i scores how
-much every input channel contributes to filter i. Conv entries are the
-l1 norm of the k x k kernel, fc entries the absolute weight. Values are
-always computed on masked weights, so dead connections score exactly 0.
+much every input channel contributes to filter i, as the l1 norm of the
+k x k kernel connecting them (an fc layer is a kernel-1 conv, so its
+entries are absolute weights). Values are always computed on masked
+weights, so dead connections score exactly 0.
 """
 from __future__ import annotations
 
@@ -16,15 +17,8 @@ def importance_conv(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.abs(masked).sum(axis=(2, 3))
 
 
-def importance_fc(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Element-wise absolute values of a (C_out, C_in) fc weight."""
-    return np.abs(weight * mask)
-
-
 def layer_importance(layer) -> np.ndarray:
     """Importance matrix for a conv or fc layer record."""
-    if layer.kind == "conv2d":
-        return importance_conv(layer.weight, layer.mask)
-    if layer.kind == "fc":
-        return importance_fc(layer.weight, layer.mask)
-    raise ValueError(f"layer {layer.name!r} of kind {layer.kind!r} has no importance matrix")
+    if not hasattr(layer, "kernels"):
+        raise ValueError(f"layer {layer.name!r} of kind {layer.kind!r} has no importance matrix")
+    return importance_conv(layer.kernels, layer.mask)

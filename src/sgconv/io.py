@@ -177,13 +177,20 @@ def _ref(table, rec, key, name):
     return table[ref]
 
 
+def _indices(values, what) -> np.ndarray:
+    """A JSON list of integers as an int64 array; a float is rejected, not floored."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ModelFormatError(f"{what} must be a list of integers")
+    return np.array(values, dtype=np.int64)
+
+
 def _attach_mask_and_grouping(layer, rec, masks, groupings):
     if "mask_ref" in rec:
         bits = _ref(masks, rec, "mask_ref", layer.name)["bits"]
         layer.mask = _decode_mask(bits, layer.mask.shape, layer.name)
     if "grouping_ref" in rec:
         entry = _ref(groupings, rec, "grouping_ref", layer.name)
-        assignment = np.asarray(entry["assignment"], dtype=np.int64)
+        assignment = _indices(entry["assignment"], f"{layer.name}: grouping assignment")
         if len(assignment) != layer.mask.shape[0]:
             raise ModelFormatError(f"{layer.name}: grouping length {len(assignment)} "
                                    f"!= {layer.mask.shape[0]} filters")
@@ -215,8 +222,8 @@ def _read_layer(rec, blob, masks, groupings):
         k = rec["kernel_size"]
         blocks = []
         for gi, grec in enumerate(rec["groups"]):
-            filt = np.asarray(grec["filters"], dtype=np.int64)
-            chan = np.asarray(grec["channels"], dtype=np.int64)
+            filt = _indices(grec["filters"], f"{name}.group{gi}: filters")
+            chan = _indices(grec["channels"], f"{name}.group{gi}: channels")
             blocks.append(GroupBlock(filt, chan, blob.fetch(
                 grec, (len(filt), len(chan), k, k), f"{name}.group{gi}")))
         return GroupConvLayer(name, blocks, in_channels=rec["in_channels"],
@@ -261,7 +268,7 @@ def load_model(manifest_path, blob_path) -> Model:
             if layer.name in seen_names:
                 raise ModelFormatError(f"duplicate layer name {layer.name!r}")
             seen_names.add(layer.name)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"{manifest_path}: layer record {index} is malformed "
                                    f"({type(exc).__name__}: {exc})") from exc
         layers.append(layer)

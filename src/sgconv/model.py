@@ -7,14 +7,20 @@ dict in which the layer keeps what its backward can reuse; backward
 takes it out of the dict again, so it lives no longer than the step),
 ``backward(x, dz, saved=None, need_dx=True)`` -> (dx, or None without
 need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``,
-``macs(shape)`` per sample, and ``params()``. The file format stays in
-io.py. Connection masks live on conv/fc layers as (C_out, C_in) boolean
-arrays; a dead conv connection stands for the whole zeroed k x k kernel.
-Weights of masked-out connections are kept at exactly zero, so the plain
-forward pass IS the masked forward pass.
+``macs(shape)`` per sample, and ``params()``. Each kind also carries
+``compress`` (whether pruning and deployment rewrite it), ``ratio_kind``
+(the kind whose removal ratio counts its connections, or None) and
+``describe(shape)`` (its ``sgconv report`` entry). The file format stays
+in io.py. Connection masks live on conv/fc layers as (C_out, C_in)
+boolean arrays; an fc layer is a kernel-1 conv, and a dead conv
+connection stands for the whole zeroed k x k kernel. Weights of
+masked-out connections are kept at exactly zero, so the plain forward
+pass IS the masked forward pass.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +30,23 @@ from . import ops
 
 def _bias_size(bias) -> int:
     return 0 if bias is None else bias.size
+
+
+def _check_settings(layer):
+    """Reject an activation, stride or padding no forward pass can run, naming the layer."""
+    if layer.activation not in ops.ACTIVATIONS:
+        raise ValueError(f"layer {layer.name!r}: activation {layer.activation!r} is not "
+                         f"one of {ops.ACTIVATIONS}")
+    for key, low in (("stride", 1), ("padding", 0)):
+        value = getattr(layer, key, low)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+            raise ValueError(f"layer {layer.name!r}: {key} must be an integer >= {low}, "
+                             f"got {value!r}")
+
+
+def mask_dead_fraction(mask: np.ndarray) -> float:
+    """Independent accounting path: dead connections counted on the mask."""
+    return int((~mask).sum()) / mask.size
 
 
 def _conv_out_shape(name, shape, c_in, c_out, kernel, stride, padding):
@@ -53,10 +76,19 @@ def flatten_batch(x, width, name):
     return x
 
 
+@dataclass
 class _MaskedLayer:
     """Conv and fc: a (C_out, C_in, ...) weight whose mask defaults to all-keep."""
+    name: str
+    weight: np.ndarray                 # (C_out, C_in, k, k) conv, (C_out, C_in) fc; float32
+    bias: np.ndarray | None = None
+    activation: str = "identity"
+    compress: bool = True
+    mask: np.ndarray = None            # bool (C_out, C_in); all-keep by default
+    grouping: np.ndarray | None = None  # int group id per filter, set by the pipeline
 
     def __post_init__(self):
+        _check_settings(self)
         if self.mask is None:
             self.mask = np.ones(self.weight.shape[:2], dtype=bool)
 
@@ -64,19 +96,30 @@ class _MaskedLayer:
     def in_channels(self) -> int:
         return self.weight.shape[1]
 
+    @property
+    def kernels(self) -> np.ndarray:
+        """The weight viewed as (C_out, C_in, k, k)."""
+        return self.weight.reshape(*self.weight.shape[:2], self.kernel, self.kernel)
+
+    @property
+    def ratio_kind(self):
+        return self.kind if self.compress else None
+
+    def macs(self, shape):
+        return self.weight.size * math.prod(self.out_shape(shape)[1:])
+
+    def params(self):  # a dead connection drops its whole k x k kernel
+        return int(self.mask.sum()) * self.kernel ** 2 + _bias_size(self.bias)
+
+    def describe(self, shape):
+        return {"dead_fraction": mask_dead_fraction(self.mask), "compress": self.compress}
+
 
 @dataclass
 class ConvLayer(_MaskedLayer):
     kind = "conv2d"
-    name: str
-    weight: np.ndarray                 # (C_out, C_in, k, k) float32
-    bias: np.ndarray | None = None
     stride: int = 1
     padding: int = 0
-    activation: str = "identity"
-    compress: bool = True
-    mask: np.ndarray = None            # bool (C_out, C_in); all-keep by default
-    grouping: np.ndarray | None = None  # int group id per filter, set by the pipeline
 
     def linear(self, x, saved=None):
         return ops.conv2d_forward(x, self.weight, self.bias, stride=self.stride,
@@ -88,29 +131,20 @@ class ConvLayer(_MaskedLayer):
                                          cols=(saved or {}).pop("cols", None), need_dx=need_dx)
         return dx, (dw, db)
 
+    @property
+    def kernel(self) -> int:
+        return self.weight.shape[2]
+
     def out_shape(self, shape):
         c_out, c_in, kernel, _ = self.weight.shape
         return _conv_out_shape(self.name, shape, c_in, c_out, kernel,
                                self.stride, self.padding)
 
-    def macs(self, shape):
-        _, ho, wo = self.out_shape(shape)
-        return self.weight.size * ho * wo
-
-    def params(self):  # a dead connection drops its whole k x k kernel
-        return int(self.mask.sum()) * self.weight.shape[2] ** 2 + _bias_size(self.bias)
-
 
 @dataclass
 class FcLayer(_MaskedLayer):
     kind = "fc"
-    name: str
-    weight: np.ndarray                 # (C_out, C_in) float32
-    bias: np.ndarray | None = None
-    activation: str = "identity"
-    compress: bool = True
-    mask: np.ndarray = None
-    grouping: np.ndarray | None = None
+    kernel, stride, padding = 1, 1, 0  # a kernel-1 conv on flat input
 
     def linear(self, x, saved=None):
         x = flatten_batch(x, self.weight.shape[1], self.name)
@@ -123,12 +157,6 @@ class FcLayer(_MaskedLayer):
 
     def out_shape(self, shape):
         return _flat_out_shape(self.name, shape, self.weight.shape[1], self.weight.shape[0])
-
-    def macs(self, shape):
-        return self.weight.size
-
-    def params(self):
-        return int(self.mask.sum()) + _bias_size(self.bias)
 
 
 @dataclass
@@ -152,13 +180,14 @@ class GroupConvLayer:
     padding: int = 0
     activation: str = "identity"
     source: str = "conv2d"             # "conv2d" or "fc": fc blocks run on flat input
-    compress: bool = False
     plan: ops.GroupExecPlan = field(init=False, repr=False, compare=False)
+    compress = False                   # deployed: pruning and deploy leave it alone
 
     def __post_init__(self):
         """Validate the blocks once and choose the executor; the plan views their
         weights and may snapshot them, so the blocks are fixed from here on and
         their weights are read-only (an in-place edit raises)."""
+        _check_settings(self)
         if self.source not in ("conv2d", "fc") or (self.source == "fc" and self.kernel != 1):
             raise ValueError(f"layer {self.name!r}: source {self.source!r} with kernel "
                              f"{self.kernel} is neither conv2d nor a kernel-1 fc")
@@ -186,24 +215,42 @@ class GroupConvLayer:
                                self.kernel, self.stride, self.padding)
 
     def macs(self, shape):
-        if self.source == "fc":
-            return self.plan.block_macs
-        _, ho, wo = self.out_shape(shape)
-        return self.plan.block_macs * ho * wo
+        return self.plan.block_macs * math.prod(self.out_shape(shape)[1:])
 
     def params(self):
         return sum(g.weight.size for g in self.groups) + _bias_size(self.bias)
 
-    def execution(self, shape):
+    @property
+    def ratio_kind(self):
+        return self.source
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The (C_out, C_in) connection mask the blocks keep."""
+        mask = np.zeros((self.out_channels, self.in_channels), dtype=bool)
+        for g in self.groups:
+            mask[np.ix_(g.filter_indices, g.channel_indices)] = True
+        return mask
+
+    @property
+    def grouping(self) -> np.ndarray:
+        """Group id per filter: the index of the block that holds it."""
+        grouping = np.zeros(self.out_channels, dtype=np.int64)
+        for gid, g in enumerate(self.groups):
+            grouping[g.filter_indices] = gid
+        return grouping
+
+    def describe(self, shape):
         """How the plan runs on a per-sample input ``shape``: its executor, the
         block layout it chose from, and the FLOPs executed next to those billed
         by macs() (they differ when the dense GEMM runs)."""
         plan, taps = self.plan, self.kernel ** 2
-        positions = 1 if self.source == "fc" else int(np.prod(self.out_shape(shape)[1:]))
+        positions = math.prod(self.out_shape(shape)[1:])
         executed = (self.out_channels * self.in_channels * taps if plan.executor == "dense"
                     else plan.block_macs)
         filters = [len(g.filter_indices) for g in self.groups]
         return {
+            "groups": len(self.groups),
             "executor": plan.executor,
             "filters_per_block": [min(filters, default=0), max(filters, default=0)],
             "union_fraction": len(plan.union) / max(self.in_channels, 1),
@@ -221,7 +268,10 @@ class AffineLayer:
     scale: np.ndarray                  # (C,)
     shift: np.ndarray                  # (C,)
     activation: str = "identity"
-    compress: bool = False
+    compress, ratio_kind = False, None
+
+    def __post_init__(self):
+        _check_settings(self)
 
     @property
     def in_channels(self) -> int:
@@ -245,8 +295,8 @@ class AffineLayer:
     def params(self):
         return self.scale.size + self.shift.size
 
-
-Layer = ConvLayer | FcLayer | GroupConvLayer | AffineLayer
+    def describe(self, shape):
+        return {}
 
 
 @dataclass
@@ -271,15 +321,9 @@ def layer_forward(layer, x):
 
 
 def apply_mask(layer) -> None:
-    """Zero the weights of dead connections in place (whole kernel for conv)."""
-    if layer.kind == "conv2d":
-        layer.weight *= layer.mask[:, :, None, None]
-    elif layer.kind == "fc":
-        layer.weight *= layer.mask
-
-
-def is_compressible(layer) -> bool:
-    return layer.kind in ("conv2d", "fc") and layer.compress
+    """Zero the weights of dead connections of a conv/fc layer in place
+    (the whole kernel for conv)."""
+    layer.weight *= layer.mask.reshape(layer.mask.shape + (1,) * (layer.weight.ndim - 2))
 
 
 def validate_first_conv_uncompressed(model: Model) -> None:

@@ -155,20 +155,6 @@ def fc_backward(dout, x, weight, *, name="fc", need_dx=True):
     return dx, dweight, dbias
 
 
-def _check_group_partition(groups, out_channels, name):
-    seen = np.concatenate([np.asarray(f, dtype=np.int64) for f, _, _ in groups]) \
-        if groups else np.empty(0, dtype=np.int64)
-    if len(np.unique(seen)) != len(seen):
-        raise ValueError(f"{name}: overlapping filter assignment across groups")
-    if len(seen) != out_channels or (len(seen) and (seen.min() < 0 or seen.max() >= out_channels)):
-        raise ValueError(f"{name}: filter indices do not partition 0..{out_channels - 1}")
-
-
-def _check_channel_range(chan_idx, c_in, name):
-    if len(chan_idx) and (chan_idx.min() < 0 or chan_idx.max() >= c_in):
-        raise ValueError(f"{name}: channel index out of range 0..{c_in - 1}")
-
-
 # Largest unfolded union (chunk samples x union channels x k*k x Ho*Wo) one
 # grouped conv holds at a time: 1 MiB of float32, so every group's row
 # gather reads columns that are still in cache.
@@ -211,14 +197,19 @@ class GroupExecPlan:
 
     def __init__(self, groups, out_channels, in_channels, kernel, name="groupconv",
                  freeze=False):
-        _check_group_partition(groups, out_channels, name)
         self.triples = [(np.asarray(f, dtype=np.int64), np.asarray(c, dtype=np.int64), w)
                         for f, c, w in groups]
+        seen = np.concatenate([f for f, _, _ in self.triples] or [np.empty(0, np.int64)])
+        if len(np.unique(seen)) != len(seen):
+            raise ValueError(f"{name}: overlapping filter assignment across groups")
+        if not np.array_equal(np.sort(seen), np.arange(out_channels)):
+            raise ValueError(f"{name}: filter indices do not partition 0..{out_channels - 1}")
         self.out_channels, self.in_channels = out_channels, in_channels
         self.kernel, self.name, self.freeze = kernel, name, freeze
         live = [c for f, c, _ in self.triples if len(f) and len(c)]
         self.union = np.unique(np.concatenate(live)) if live else np.empty(0, dtype=np.int64)
-        _check_channel_range(self.union, in_channels, name)
+        if len(self.union) and (self.union[0] < 0 or self.union[-1] >= in_channels):
+            raise ValueError(f"{name}: channel index out of range 0..{in_channels - 1}")
         taps = kernel * kernel
         self.blocks = []
         for gi, (f, c, w) in enumerate(self.triples):

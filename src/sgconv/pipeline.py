@@ -22,10 +22,9 @@ from .data import Dataset
 from .deploy import count_flops, count_params, infer_input_shape
 from .grouping import Grouping, centroids_for, kmeans_cluster
 from .importance import layer_importance
-from .model import Model, apply_mask, is_compressible, validate_first_conv_uncompressed
-from .pruning import (RATIO_EPS, compression_ratio_layer, compression_ratio_network,
-                      kill_elements, model_dead_fraction, model_ratio_items,
-                      partial_elements, prune_to_ratio, pruned_elements)
+from .model import Model, apply_mask, validate_first_conv_uncompressed
+from .pruning import (RATIO_EPS, compression_ratio_layer, kill_elements, model_dead_fraction,
+                      model_ratios, partial_elements, prune_to_ratio, pruned_elements)
 
 REPORT_SCHEMA_VERSION = 1
 FINETUNE_MODES = ("none", "global", "local+global")
@@ -280,7 +279,7 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         raise ValueError("fine-tuning enabled but no dataset given")
 
     targets = {"conv2d": schedule.target_conv, "fc": schedule.target_fc}
-    compressible = [l for l in model.layers if is_compressible(l)]
+    compressible = [l for l in model.layers if l.compress]
     eval_set = test_dataset if test_dataset is not None else dataset
 
     t_start = time.perf_counter()
@@ -317,9 +316,7 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
             if layer.kind in pending:
                 record["layers"][layer.name] = _prune_layer(layer, schedule, t, index)
         prune_seconds += time.perf_counter() - tick
-        record["conv_ratio"] = model_dead_fraction(model, "conv2d")
-        record["fc_ratio"] = model_dead_fraction(model, "fc")
-        record["network_ratio"] = compression_ratio_network(model_ratio_items(model))
+        record.update(model_ratios(model))
         if schedule.finetune == "local+global":
             tick = time.perf_counter()
             local_cfg = TrainConfig(epochs=schedule.local_epochs, lr=schedule.local_lr,
@@ -347,12 +344,8 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         sgd_finetune(model, dataset, global_cfg)
         global_seconds = time.perf_counter() - tick
 
-    report["final"] = {
-        "conv_ratio": model_dead_fraction(model, "conv2d"),
-        "fc_ratio": model_dead_fraction(model, "fc"),
-        "network_ratio": compression_ratio_network(model_ratio_items(model)),
-        "network_dead_fraction": model_dead_fraction(model),
-    }
+    report["final"] = {**model_ratios(model),
+                       "network_dead_fraction": model_dead_fraction(model)}
     report["params_after"] = count_params(model)
     report["flops_after"] = count_flops(model, input_shape)
     report["accuracy_after"] = evaluate(model, eval_set) if eval_set is not None else None

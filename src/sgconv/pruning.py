@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grouping import group_sizes
-from .model import apply_mask, is_compressible
+from .model import apply_mask, mask_dead_fraction  # mask_dead_fraction: re-exported here
 
 # float slack when comparing achieved ratios against accumulated t*s targets
 RATIO_EPS = 1e-9
@@ -74,41 +74,45 @@ def compression_ratio_network(items) -> float:
     return removed / total
 
 
-def _compressible(model, kind: str | None):
+def _counted(model, kind: str | None):
+    """The layers whose connections the ratios count, optionally only those of
+    one kind: compressible conv/fc layers, and group layers under the kind of
+    layer they were deployed from (their masks and groupings rebuilt from
+    their blocks), so a deployed model reports the ratios it was pruned to."""
     return [layer for layer in model.layers
-            if is_compressible(layer) and (kind is None or layer.kind == kind)]
+            if layer.ratio_kind is not None and kind in (None, layer.ratio_kind)]
 
 
-def model_ratio_items(model, kind: str | None = None):
+def model_ratio_items(model):
     """(assignment, pruned-elements) pairs feeding the pooled ratio formula.
 
     Compressible layers that were never clustered count as one all-filter
     group, so their connections appear in the denominator.
     """
     items = []
-    for layer in _compressible(model, kind):
-        if layer.grouping is not None:
-            assignment = layer.grouping
-            num_groups = int(assignment.max()) + 1
-        else:
+    for layer in _counted(model, None):
+        assignment = layer.grouping
+        if assignment is None:
             assignment = np.zeros(layer.mask.shape[0], dtype=np.int64)
-            num_groups = 1
+        num_groups = int(assignment.max(initial=0)) + 1
         items.append((assignment, pruned_elements(layer.mask, assignment, num_groups)))
     return items
 
 
-def mask_dead_fraction(mask: np.ndarray) -> float:
-    """Independent accounting path: dead connections counted on the mask."""
-    return int((~mask).sum()) / mask.size
-
-
 def model_dead_fraction(model, kind: str | None = None) -> float:
-    """Pooled dead-connection fraction over compressible layers, optionally by kind."""
-    layers = _compressible(model, kind)
-    total = sum(layer.mask.size for layer in layers)
+    """Pooled dead-connection fraction over the counted layers, optionally by kind."""
+    masks = [layer.mask for layer in _counted(model, kind)]
+    total = sum(mask.size for mask in masks)
     if total == 0:
         return 0.0
-    return sum(int((~layer.mask).sum()) for layer in layers) / total
+    return sum(int((~mask).sum()) for mask in masks) / total
+
+
+def model_ratios(model) -> dict:
+    """The conv and fc dead-connection fractions and the pooled network ratio."""
+    return {"conv_ratio": model_dead_fraction(model, "conv2d"),
+            "fc_ratio": model_dead_fraction(model, "fc"),
+            "network_ratio": compression_ratio_network(model_ratio_items(model))}
 
 
 def minimal_truncation(order: SortedCentroids, sizes: np.ndarray, c_in: int,

@@ -303,3 +303,33 @@ def test_prune_deterministic_given_seed(workspace):
     assert main(argv + ["--out", str(workspace / "r2")]) == 0
     assert (workspace / "r1.sgm.bin").read_bytes() == (workspace / "r2.sgm.bin").read_bytes()
     assert (workspace / "r1.sgm.json").read_bytes() == (workspace / "r2.sgm.json").read_bytes()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_deploy_bad_tolerance_exits_2(workspace, capsys, tolerance):
+    code = main(["deploy", "--model", str(workspace / "toy.sgm.json"),
+                 "--tolerance", tolerance, "--out", str(workspace / "d")])
+    assert code == 2
+    assert f"tol={float(tolerance)}" in capsys.readouterr().err
+    assert not (workspace / "d.sgm.json").exists()
+
+
+def test_report_ratios_of_deployed_model_match_pruned(workspace, capsys):
+    assert main(["prune", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--groups", "3", "--step", "0.3",
+                 "--target-conv", "0.6", "--target-fc", "0.6", "--finetune", "none",
+                 "--out", str(workspace / "p")]) == 0
+    assert main(["deploy", "--model", str(workspace / "p.sgm.json"),
+                 "--out", str(workspace / "d")]) == 0
+    capsys.readouterr()
+    lines, docs = [], []
+    for name in ("p", "d"):
+        assert main(["report", "--model", str(workspace / f"{name}.sgm.json"),
+                     "--json", str(workspace / f"{name}.json")]) == 0
+        lines += [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("ratios:")]
+        docs.append(json.loads((workspace / f"{name}.json").read_text()))
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert "conv 0.0000" not in lines[1]
+    fields = ("conv_ratio", "fc_ratio", "network_ratio")
+    assert [docs[0][k] for k in fields] == [docs[1][k] for k in fields]

@@ -1,28 +1,41 @@
-"""Group-plan construction, conversion equivalence, params/FLOPs accounting."""
+"""Block layout, conversion equivalence, params/FLOPs accounting."""
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain_model
 from sgconv import deploy
-from sgconv.deploy import (GranularityError, build_group_plan, convert_layer,
+from sgconv.deploy import (GranularityError, convert_layer,
                            convert_model, count_flops, count_params,
                            infer_input_shape, max_forward_deviation,
                            verify_equivalence, EquivalenceError)
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import (ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
                           build_toy_cnn)
+from sgconv.pruning import model_ratios
+
+
+def blocks_of(assignment, mask):
+    """convert_layer's blocks for an fc layer with this grouping and mask, as
+    (filter_indices, channel_indices) pairs."""
+    mask = np.asarray(mask)
+    layer = FcLayer("fc", np.ones(mask.shape, np.float32), mask=mask.copy(),
+                    grouping=np.asarray(assignment, dtype=np.int64))
+    apply_mask(layer)
+    return [(g.filter_indices, g.channel_indices) for g in convert_layer(layer).groups]
 
 
 def test_plan_single_cluster_nothing_pruned():
-    assignment = np.zeros(4, dtype=np.int64)
-    mask = np.ones((4, 3), bool)
-    plan = build_group_plan(assignment, mask)
-    assert len(plan.groups) == 1
-    np.testing.assert_array_equal(plan.groups[0][0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(plan.groups[0][1], [0, 1, 2])
-    np.testing.assert_array_equal(plan.output_perm, [0, 1, 2, 3])
+    blocks = blocks_of(np.zeros(4, dtype=np.int64), np.ones((4, 3), bool))
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0][0], [0, 1, 2, 3])
+    np.testing.assert_array_equal(blocks[0][1], [0, 1, 2])
+    np.testing.assert_array_equal(np.concatenate([f for f, _ in blocks]), [0, 1, 2, 3])
 
 
 def test_plan_fixture_with_ignored_channel():
@@ -31,12 +44,12 @@ def test_plan_fixture_with_ignored_channel():
     mask = np.array([[True, True, False, False],
                      [False, False, True, False],
                      [True, True, False, False]])
-    plan = build_group_plan(assignment, mask)
-    np.testing.assert_array_equal(plan.groups[0][0], [0, 2])
-    np.testing.assert_array_equal(plan.groups[0][1], [0, 1])
-    np.testing.assert_array_equal(plan.groups[1][0], [1])
-    np.testing.assert_array_equal(plan.groups[1][1], [2])
-    gathered = np.concatenate([g[1] for g in plan.groups])
+    blocks = blocks_of(assignment, mask)
+    np.testing.assert_array_equal(blocks[0][0], [0, 2])
+    np.testing.assert_array_equal(blocks[0][1], [0, 1])
+    np.testing.assert_array_equal(blocks[1][0], [1])
+    np.testing.assert_array_equal(blocks[1][1], [2])
+    gathered = np.concatenate([c for _, c in blocks])
     assert 3 not in gathered
 
 
@@ -44,24 +57,24 @@ def test_plan_shared_channel():
     assignment = np.array([0, 1])
     mask = np.array([[True, True, False],
                      [False, True, True]])
-    plan = build_group_plan(assignment, mask)
-    assert 1 in plan.groups[0][1] and 1 in plan.groups[1][1]  # reused channel
+    blocks = blocks_of(assignment, mask)
+    assert 1 in blocks[0][1] and 1 in blocks[1][1]  # reused channel
 
 
 def test_plan_granularity_violation():
     assignment = np.array([0, 0])
     mask = np.array([[True, False], [True, True]])
-    with pytest.raises(GranularityError, match="different channel masks"):
-        build_group_plan(assignment, mask)
+    with pytest.raises(GranularityError, match="'fc' group 0: .* different channel masks"):
+        blocks_of(assignment, mask)
 
 
 def test_plan_empty_channel_group():
     assignment = np.array([0, 1])
     mask = np.array([[False, False], [True, True]])
-    plan = build_group_plan(assignment, mask)
-    assert len(plan.groups[0][1]) == 0
+    blocks = blocks_of(assignment, mask)
+    assert len(blocks[0][1]) == 0
     # output side is a true permutation regardless
-    np.testing.assert_array_equal(np.sort(plan.output_perm), [0, 1])
+    np.testing.assert_array_equal(np.sort(np.concatenate([f for f, _ in blocks])), [0, 1])
 
 
 def test_selection_matrix_properties(rng):
@@ -71,12 +84,12 @@ def test_selection_matrix_properties(rng):
                      [False, True, True, False],
                      [True, True, False, False],
                      [False, True, False, False]])
-    plan = build_group_plan(assignment, mask)
-    gathered = np.concatenate([g[1] for g in plan.groups])
+    blocks = blocks_of(assignment, mask)
+    gathered = np.concatenate([c for _, c in blocks])
     counts = np.bincount(gathered, minlength=4)
     assert counts[1] == 3   # reused by all three groups
     assert counts[3] == 0   # ignored everywhere
-    perm = plan.output_perm
+    perm = np.concatenate([f for f, _ in blocks])
     assert np.array_equal(np.sort(perm), np.arange(4))  # bijection
 
 
@@ -258,3 +271,20 @@ def test_deployed_roundtrip_through_io(tmp_path, rng):
     loaded = load_model(manifest, blob)
     x = rng.standard_normal((8, *shape)).astype(np.float32)
     np.testing.assert_array_equal(deployed.forward(x), loaded.forward(x))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_conversion_properties_over_random_chains(seed):
+    """On random masked conv/fc chains, the deployed model matches the masked
+    dense forward, survives save -> load -> save byte for byte, and reports
+    the removal ratios of the model it was deployed from."""
+    model, shape = random_chain_model(np.random.default_rng(seed))
+    deployed = convert_model(model)
+    assert max_forward_deviation(model, deployed, shape, n_inputs=8, seed=seed) <= 1e-5
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = sgm_paths(Path(tmp) / "a"), sgm_paths(Path(tmp) / "b")
+        save_model(deployed, *first)
+        save_model(load_model(*first), *second)
+        assert [p.read_bytes() for p in first] == [p.read_bytes() for p in second]
+    assert model_ratios(deployed) == model_ratios(model)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sgconv.importance import importance_conv, importance_fc, layer_importance
+from sgconv.importance import importance_conv, layer_importance
 from sgconv.model import AffineLayer, ConvLayer, FcLayer
 
 
@@ -37,22 +37,25 @@ def test_conv_matches_loop_oracle(rng):
     np.testing.assert_allclose(importance_conv(w, mask), abs_sum_oracle(w), atol=1e-6)
 
 
+# an fc weight is a kernel-1 conv weight: its importance is the absolute value
 def test_fc_absolute_value():
-    w = np.array([[-0.5]], np.float32)
-    assert importance_fc(w, np.ones((1, 1), bool))[0, 0] == 0.5
+    w = np.array([[-0.5]], np.float32).reshape(1, 1, 1, 1)
+    assert importance_conv(w, np.ones((1, 1), bool))[0, 0] == 0.5
 
 
 def test_fc_zero_row(rng):
-    w = rng.standard_normal((3, 5)).astype(np.float32)
+    w = rng.standard_normal((3, 5, 1, 1)).astype(np.float32)
     w[1] = 0
-    v = importance_fc(w, np.ones((3, 5), bool))
+    v = importance_conv(w, np.ones((3, 5), bool))
     assert np.all(v[1] == 0)
 
 
 def test_fc_matches_elementwise_oracle(rng):
     w = rng.standard_normal((10, 20)).astype(np.float32)
     mask = np.ones((10, 20), bool)
-    np.testing.assert_array_equal(importance_fc(w, mask), np.abs(w))
+    np.testing.assert_array_equal(importance_conv(w.reshape(10, 20, 1, 1), mask), np.abs(w))
+    layer = FcLayer("f", w)
+    np.testing.assert_array_equal(layer_importance(layer), np.abs(w))
 
 
 def test_nonnegative_and_zero_exactly_where_masked(rng):

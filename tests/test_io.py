@@ -197,6 +197,20 @@ BAD_VALUES = [
     ("groups-channel-twice", "groups", "channels", [0, 1, 2, 3, 4, 4]),
     ("masks-short-bits", "masks", "bits", "AAA="),
     ("groupconv-unknown-source", "groupconv", "source", "pool"),
+    ("conv2d-stride-zero", "conv2d", "stride", 0),
+    ("conv2d-stride-fraction", "conv2d", "stride", 1.5),
+    ("conv2d-padding-negative", "conv2d", "padding", -1),
+    ("conv2d-unknown-activation", "conv2d", "activation", "tanh"),
+    ("fc-unknown-activation", "fc", "activation", "sigmoid"),
+    ("affine-unknown-activation", "affine_passthrough", "activation", "tanh"),
+    ("groupconv-stride-zero", "groupconv", "stride", 0),
+    ("groupconv-stride-fraction", "groupconv", "stride", 1.5),
+    ("groupconv-padding-negative", "groupconv", "padding", -1),
+    ("groupconv-unknown-activation", "groupconv", "activation", "tanh"),
+    # a fractional index would be floored into a valid one
+    ("groupings-fractional-group-id", "groupings", "assignment", [0.5, 1, 0, 1, 0, 1]),
+    ("groups-fractional-filter", "groups", "filters", [0, 2, 4.5]),
+    ("groups-fractional-channel", "groups", "channels", [0, 1, 2, 3, 4, 5.5]),
 ]
 
 

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from sgconv import ops
+from sgconv.deploy import convert_model
 from sgconv.model import (AffineLayer, ConvLayer, FcLayer, Model, apply_mask,
-                          is_compressible, layer_forward,
-                          validate_first_conv_uncompressed)
+                          layer_forward, validate_first_conv_uncompressed)
 
 
 def test_toy_cnn_shapes_and_forward(rng, toy_model):
@@ -57,8 +57,11 @@ def test_layer_lookup(toy_model):
 
 
 def test_is_compressible(toy_model):
-    flags = [is_compressible(l) for l in toy_model.layers]
+    flags = [l.compress for l in toy_model.layers]
     assert flags == [False, True, True]
+    # deployed group layers and affine layers are never compressed again
+    assert [l.compress for l in convert_model(toy_model).layers] == [False] * 3
+    assert AffineLayer("a", np.ones(2, np.float32), np.zeros(2, np.float32)).compress is False
 
 
 def test_first_conv_convention_enforced(rng):
@@ -68,3 +71,17 @@ def test_first_conv_convention_enforced(rng):
         validate_first_conv_uncompressed(bad)
     fc_only = Model(layers=[FcLayer("f", rng.standard_normal((2, 4)).astype(np.float32))])
     validate_first_conv_uncompressed(fc_only)  # vacuous without conv layers
+
+
+@pytest.mark.parametrize("settings, match", [
+    ({"stride": 0}, "stride must be an integer >= 1"),
+    ({"stride": 1.5}, "stride must be an integer >= 1"),
+    ({"stride": True}, "stride must be an integer >= 1"),
+    ({"padding": -1}, "padding must be an integer >= 0"),
+    ({"activation": "tanh"}, "activation 'tanh'"),
+])
+def test_bad_layer_settings_are_rejected_naming_the_layer(rng, settings, match):
+    w = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
+    with pytest.raises(ValueError, match=f"layer 'c': {match}"):
+        ConvLayer("c", w, **settings)
+    assert ConvLayer("c", w, stride=np.int64(2), padding=np.int64(1)).stride == 2
