@@ -19,9 +19,8 @@ from .model import (AffineLayer, ConvLayer, FcLayer, GroupBlock, GroupConvLayer,
                     Model, apply_mask, build_toy_cnn)
 from .pipeline import (PruneSchedule, TrainConfig, evaluate, run_algorithm1,
                        sgd_finetune)
-from .pruning import (SortedCentroids, build_sorted_centroids,
-                      compression_ratio_layer, compression_ratio_network,
+from .pruning import (compression_ratio_layer, compression_ratio_network,
                       mask_dead_fraction, model_dead_fraction, prune_to_ratio,
-                      pruned_elements, select_and_prune)
+                      pruned_elements)
 
 __version__ = "0.1.0"

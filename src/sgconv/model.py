@@ -33,7 +33,13 @@ def _bias_size(bias) -> int:
 
 
 def _check_settings(layer):
-    """Reject an activation, stride or padding no forward pass can run, naming the layer."""
+    """Reject a non-string name, a non-boolean ``compress`` and an activation,
+    stride or padding no forward pass can run, naming the layer."""
+    if not isinstance(layer.name, str):
+        raise ValueError(f"layer name must be a string, got {layer.name!r}")
+    if not isinstance(layer.compress, bool):  # a string such as "false" would be truthy
+        raise ValueError(f"layer {layer.name!r}: compress must be a boolean, "
+                         f"got {layer.compress!r}")
     if layer.activation not in ops.ACTIVATIONS:
         raise ValueError(f"layer {layer.name!r}: activation {layer.activation!r} is not "
                          f"one of {ops.ACTIVATIONS}")

@@ -23,7 +23,7 @@ from .deploy import count_flops, count_params, infer_input_shape
 from .grouping import Grouping, centroids_for, kmeans_cluster
 from .importance import layer_importance
 from .model import Model, apply_mask, validate_first_conv_uncompressed
-from .pruning import (RATIO_EPS, compression_ratio_layer, kill_elements, model_dead_fraction,
+from .pruning import (RATIO_EPS, compression_ratio_layer, kill_bundles, model_dead_fraction,
                       model_ratios, partial_elements, prune_to_ratio, pruned_elements)
 
 REPORT_SCHEMA_VERSION = 1
@@ -72,8 +72,9 @@ class PruneSchedule:
             raise ValueError(f"num_groups must be >= 1, got {self.num_groups}")
         if self.kmeans_restarts < 1:
             raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
-        if self.step <= 0:
-            raise ValueError("pruning step must be positive: targets are unreachable otherwise")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}: "
+                             "targets are unreachable otherwise")
         for kind, target in (("conv", self.target_conv), ("fc", self.target_fc)):
             if not 0 <= target <= 1:
                 raise ValueError(f"target_{kind} must be in [0, 1], got {target}")
@@ -232,10 +233,8 @@ def _sync_bundles(layer, grouping: Grouping) -> int:
     member is killed outright. Returns the number of promoted bundles.
     """
     partial = partial_elements(layer.mask, grouping.assignment, grouping.num_groups)
-    targets = np.argwhere(partial)
-    if len(targets):
-        kill_elements(layer, grouping.assignment, [(int(g), int(c)) for g, c in targets])
-    return len(targets)
+    kill_bundles(layer, grouping.assignment, partial)
+    return int(partial.sum())
 
 
 def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> dict:

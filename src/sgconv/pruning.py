@@ -10,8 +10,6 @@ iterations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grouping import group_sizes
@@ -19,21 +17,6 @@ from .model import apply_mask, mask_dead_fraction  # mask_dead_fraction: re-expo
 
 # float slack when comparing achieved ratios against accumulated t*s targets
 RATIO_EPS = 1e-9
-
-
-@dataclass
-class SortedCentroids:
-    """Centroid elements sorted ascending by (value, group_id, channel_id)."""
-    entries: list  # of (value, layer_id, group_id, channel_id)
-
-
-def build_sorted_centroids(centroids: np.ndarray, layer_id: int = 0) -> SortedCentroids:
-    """Flatten a (g, C_in) centroid matrix into the ascending element order."""
-    g, c_in = centroids.shape
-    entries = [(float(centroids[i, j]), layer_id, i, j)
-               for i in range(g) for j in range(c_in)]
-    entries.sort(key=lambda e: (e[0], e[2], e[3]))
-    return SortedCentroids(entries=entries)
 
 
 def _bundle_dead_counts(mask: np.ndarray, assignment: np.ndarray, num_groups: int):
@@ -115,26 +98,10 @@ def model_ratios(model) -> dict:
             "network_ratio": compression_ratio_network(model_ratio_items(model))}
 
 
-def minimal_truncation(order: SortedCentroids, sizes: np.ndarray, c_in: int,
-                       target: float) -> int:
-    """Smallest n whose first n elements reach the target removal ratio."""
-    if target > 1.0 + 1e-12:
-        raise ValueError(f"target ratio {target} exceeds 1: unreachable")
-    if target <= RATIO_EPS:
-        return 0
-    total = int(c_in * sizes.sum())
-    removed = 0
-    for n, (_value, _layer, gid, _ch) in enumerate(order.entries, start=1):
-        removed += int(sizes[gid])
-        if removed / total >= target - RATIO_EPS:
-            return n
-    raise AssertionError("ratio never reached target <= 1")  # sizes all >= 1 makes this unreachable
-
-
-def kill_elements(layer, assignment: np.ndarray, elements) -> None:
-    """Kill the (group_id, channel_id) bundles: mask rows and zero kernels."""
-    for gid, ch in elements:
-        layer.mask[assignment == gid, ch] = False
+def kill_bundles(layer, assignment: np.ndarray, dead: np.ndarray) -> None:
+    """Kill every (group, channel) bundle marked True in the (g, C_in) bool
+    matrix ``dead``: one mask update, then the dead kernels are zeroed."""
+    layer.mask &= ~dead[assignment]
     apply_mask(layer)
 
 
@@ -142,22 +109,21 @@ def prune_to_ratio(layer, grouping, target: float) -> int:
     """Kill the minimal ascending prefix of centroid elements whose removal
     ratio reaches ``target``; returns the prefix length.
 
-    Already-dead bundles sort first at value 0 and count toward the
-    target. Killing zeroes the matching kernels in the layer weights.
+    Elements sort by value, ties by (group, channel). Already-dead bundles
+    sort first at value 0 and count toward the target. Killing zeroes the
+    matching kernels in the layer weights.
     """
-    order = build_sorted_centroids(grouping.centroids)
-    sizes = group_sizes(grouping.assignment, grouping.num_groups)
-    n = minimal_truncation(order, sizes, grouping.centroids.shape[1], target)
-    kill_elements(layer, grouping.assignment,
-                  [(gid, ch) for _v, _l, gid, ch in order.entries[:n]])
+    if target > 1.0 + 1e-12:
+        raise ValueError(f"target ratio {target} exceeds 1: unreachable")
+    centroids = grouping.centroids
+    c_in = centroids.shape[1]
+    order = np.argsort(centroids.ravel(), kind="stable")  # row-major: ties by (group, channel)
+    n = 0
+    if target > RATIO_EPS:
+        sizes = group_sizes(grouping.assignment, grouping.num_groups)
+        removed = np.cumsum(sizes[order // c_in])  # exact integer counts; the ratio rises with n
+        n = int(np.searchsorted(removed / (c_in * sizes.sum()), target - RATIO_EPS)) + 1
+    dead = np.zeros(centroids.shape, dtype=bool)
+    dead.flat[order[:n]] = True
+    kill_bundles(layer, grouping.assignment, dead)
     return n
-
-
-def select_and_prune(layer, grouping, t: int, s: float) -> np.ndarray:
-    """Prune the layer up to the cumulative target t*s and return its mask."""
-    if t < 1:
-        raise ValueError(f"iteration index t must be >= 1, got {t}")
-    if not 0 < s <= 1:
-        raise ValueError(f"pruning step s must be in (0, 1], got {s}")
-    prune_to_ratio(layer, grouping, t * s)
-    return layer.mask

@@ -16,12 +16,11 @@ from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import FcLayer, build_toy_cnn
 from sgconv.pipeline import PruneSchedule, TrainConfig, evaluate, run_algorithm1, \
     sgd_finetune
-from sgconv.pruning import (build_sorted_centroids, compression_ratio_layer,
-                            compression_ratio_network, group_sizes,
-                            mask_dead_fraction, minimal_truncation, pruned_elements,
-                            select_and_prune)
+from sgconv.pruning import (compression_ratio_layer, compression_ratio_network, group_sizes,
+                            mask_dead_fraction, prune_to_ratio, pruned_elements)
 from test_grouping import brute_force_two_groups
 from test_ops import central_diff, rel_error
+from test_pruning import sort_oracle
 
 
 def check(name, ok, detail, elapsed, budget_s):
@@ -93,17 +92,16 @@ def test_criterion_3_minimal_truncation():
         from sgconv.grouping import Grouping
         grouping = Grouping(assignment=assignment, centroids=centroids,
                             objective=0.0, sq_objective=0.0)
-        mask = select_and_prune(layer, grouping, t=t, s=s)
         target = t * s
-        order = build_sorted_centroids(centroids)
+        n = prune_to_ratio(layer, grouping, target)
+        order = sort_oracle(centroids)
         sizes = group_sizes(assignment, num_groups)
-        n = minimal_truncation(order, sizes, c_in, target)
         totalc = c_in * sizes.sum()
-        achieved = mask_dead_fraction(mask)
+        achieved = mask_dead_fraction(layer.mask)
         if achieved < target - 1e-9:
             violations += 1
         if n > 0:
-            one_less = sum(sizes[gid] for _v, _l, gid, _c in order.entries[:n - 1]) / totalc
+            one_less = sum(sizes[gid] for _v, gid, _c in order[:n - 1]) / totalc
             if one_less >= target - 1e-9:
                 violations += 1
     check("3 minimal-n schedule", violations == 0,

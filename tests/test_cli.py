@@ -262,6 +262,16 @@ def test_invalid_schedule_exits_2(workspace, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_non_finite_step_exits_2_naming_step(workspace, capsys, step):
+    code = main(["prune", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--step", step,
+                 "--out", str(workspace / "x")])
+    assert code == 2
+    assert f"step must be finite and positive, got {step}" in capsys.readouterr().err
+    assert not (workspace / "x.sgm.json").exists()
+
+
 @pytest.mark.parametrize("flags, setting", [
     (["--finetune", "local+global", "--local-epochs", "-3", "--global-epochs", "-1"],
      "local_epochs"),

@@ -211,6 +211,10 @@ BAD_VALUES = [
     ("groupings-fractional-group-id", "groupings", "assignment", [0.5, 1, 0, 1, 0, 1]),
     ("groups-fractional-filter", "groups", "filters", [0, 2, 4.5]),
     ("groups-fractional-channel", "groups", "channels", [0, 1, 2, 3, 4, 5.5]),
+    # a string "false" is truthy: the layer would count as compressible
+    ("fc-compress-string", "fc", "compress", "false"),
+    ("fc-compress-int", "fc", "compress", 0),
+    ("conv2d-name-number", "conv2d", "name", 5),
 ]
 
 
