@@ -191,13 +191,15 @@ def _attach_mask_and_grouping(layer, rec, masks, groupings):
     if "grouping_ref" in rec:
         entry = _ref(groupings, rec, "grouping_ref", layer.name)
         assignment = _indices(entry["assignment"], f"{layer.name}: grouping assignment")
+        num_groups = entry["num_groups"]
+        if type(num_groups) is not int:  # 2.5 would load and be re-saved as another count
+            raise ModelFormatError(f"{layer.name}: grouping num_groups must be an integer, "
+                                   f"got {num_groups!r}")
         if len(assignment) != layer.mask.shape[0]:
             raise ModelFormatError(f"{layer.name}: grouping length {len(assignment)} "
                                    f"!= {layer.mask.shape[0]} filters")
-        if len(assignment) and (assignment.min() < 0
-                                or assignment.max() >= entry["num_groups"]):
-            raise ModelFormatError(f"{layer.name}: group ids outside "
-                                   f"[0, {entry['num_groups']})")
+        if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_groups):
+            raise ModelFormatError(f"{layer.name}: group ids outside [0, {num_groups})")
         layer.grouping = assignment
     return layer
 
@@ -250,11 +252,10 @@ def load_model(manifest_path, blob_path) -> Model:
         raise ModelFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict) or "format_version" not in manifest:
         raise ModelFormatError(f"{manifest_path}: missing format_version")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{manifest_path}: format_version {manifest['format_version']} "
-            f"unsupported (expected {FORMAT_VERSION})"
-        )
+    version = manifest["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:  # True and 1.0 equal 1
+        raise VersionMismatchError(f"{manifest_path}: format_version {version} "
+                                   f"unsupported (expected {FORMAT_VERSION})")
     if not isinstance(manifest.get("layers"), list):
         raise ModelFormatError(f"{manifest_path}: \"layers\" must be a list of records")
     blob = _BlobReader(Path(blob_path).read_bytes(), blob_path)

@@ -199,16 +199,14 @@ class GroupConvLayer:
                              f"{self.kernel} is neither conv2d nor a kernel-1 fc")
         self.plan = ops.GroupExecPlan(
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
-            self.out_channels, self.in_channels, self.kernel, self.name, freeze=True)
+            self.out_channels, self.in_channels, self.kernel, self.name)
 
     def linear(self, x, saved=None):
         if self.source == "fc":
             x = flatten_batch(x, self.in_channels, self.name)
-            return ops.group_fc_forward(x, self.plan, self.out_channels, self.bias,
-                                        name=self.name)
-        return ops.group_conv_forward(x, self.plan, self.out_channels, self.kernel, self.bias,
-                                      stride=self.stride, padding=self.padding,
-                                      name=self.name)
+            return ops.group_fc_forward(x, self.plan, self.bias)
+        return ops.group_conv_forward(x, self.plan, self.bias, stride=self.stride,
+                                      padding=self.padding)
 
     def backward(self, x, dz, saved=None, need_dx=True):
         raise ValueError(f"layer {self.name!r} ({self.kind}) has no backward support; "
@@ -252,8 +250,6 @@ class GroupConvLayer:
         by macs() (they differ when the dense GEMM runs)."""
         plan, taps = self.plan, self.kernel ** 2
         positions = math.prod(self.out_shape(shape)[1:])
-        executed = (self.out_channels * self.in_channels * taps if plan.executor == "dense"
-                    else plan.block_macs)
         filters = [len(g.filter_indices) for g in self.groups]
         return {
             "groups": len(self.groups),
@@ -262,7 +258,7 @@ class GroupConvLayer:
             "union_fraction": len(plan.union) / max(self.in_channels, 1),
             "gathered_rows_ratio": plan.gathered_rows / max(len(plan.union) * taps, 1),
             "flops_billed": 2 * self.macs(shape),
-            "flops_executed": 2 * executed * positions,
+            "flops_executed": 2 * plan.executed_macs * positions,
         }
 
 

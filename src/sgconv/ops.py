@@ -1,12 +1,12 @@
 """Dense array kernels: conv2d, fully-connected and grouped convolution.
 
-Every function here is pure and operates on plain numpy arrays;
-GroupExecPlan holds a grouped layer's validated layout and the executor
-its forward runs on: the grouped blocks, or one dense conv2d/fc call on
-the zero-filled weight rebuilt from them, whichever a fixed cost model
-bills less. Model code feeds float32; the kernels preserve whatever dtype
-they receive so tests can run float64 finite differences through the
-same code path.
+Every function here is pure and operates on plain numpy arrays. The
+grouped kernels take their layer only as a GroupExecPlan: its validated
+layout and the executor its forward runs on, the grouped blocks or one
+dense conv2d/fc call on the zero-filled weight rebuilt from them,
+whichever a fixed cost model bills less. Model code feeds float32; the
+kernels preserve whatever dtype they receive so tests can run float64
+finite differences through the same code path.
 """
 from __future__ import annotations
 
@@ -65,6 +65,21 @@ def _col2im(dcols, x_shape, kernel, stride, padding):
     return dpad
 
 
+def _conv_out_hw(x, c_in, kernel, stride, padding, name):
+    """Output (Ho, Wo) of a k x k conv on ``x``; raises ValueError naming the
+    layer unless x is (N, c_in, H, W) and the kernel fits it."""
+    if x.ndim != 4:
+        raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
+    if x.shape[1] != c_in:
+        raise ValueError(f"{name}: input has {x.shape[1]} channels, weights expect {c_in}")
+    ho = conv_out_size(x.shape[2], kernel, stride, padding)
+    wo = conv_out_size(x.shape[3], kernel, stride, padding)
+    if ho < 1 or wo < 1:
+        raise ValueError(f"{name}: kernel {kernel} stride {stride} pad {padding} does not fit "
+                         f"input {x.shape[2]}x{x.shape[3]}")
+    return ho, wo
+
+
 def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d",
                    saved=None):
     """2-d convolution of (N,C_in,H,W) with (C_out,C_in,k,k) filters.
@@ -74,22 +89,10 @@ def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d",
     When ``saved`` is a dict, the unfolded input columns are stored in it
     under "cols", for conv2d_backward to reuse instead of unfolding again.
     """
-    if x.ndim != 4:
-        raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
         raise ValueError(f"{name}: expected square (C_out,C_in,k,k) weights, got {tuple(weight.shape)}")
     c_out, c_in, kernel, _ = weight.shape
-    if x.shape[1] != c_in:
-        raise ValueError(
-            f"{name}: input has {x.shape[1]} channels, weights expect {c_in}"
-        )
-    ho = conv_out_size(x.shape[2], kernel, stride, padding)
-    wo = conv_out_size(x.shape[3], kernel, stride, padding)
-    if ho < 1 or wo < 1:
-        raise ValueError(
-            f"{name}: kernel {kernel} stride {stride} pad {padding} does not fit "
-            f"input {x.shape[2]}x{x.shape[3]}"
-        )
+    ho, wo = _conv_out_hw(x, c_in, kernel, stride, padding, name)
     cols = _im2col(x, kernel, stride, padding)
     if saved is not None:
         saved["cols"] = cols
@@ -185,27 +188,31 @@ class GroupExecPlan:
     the sorted union of live channels and, per block with channels, its
     filters, its row indices into the union's unfolded (channel, ky, kx)
     columns and a 2-d view of its weight. It iterates as the triples it
-    was built from.
+    was built from. The grouped kernels take nothing else about the
+    layer: they read its widths, kernel and name from the plan.
 
     ``executor`` is "dense" when one GEMM on the zero-filled
     (C_out, C_in, k, k) weight is billed less than the blocks (see
-    GATHER_COST), else "grouped". A dense plan holds that weight in
-    ``dense_weight``, a snapshot taken at build time; with ``freeze`` the
-    block weights are made read-only so that an in-place edit raises
-    instead of leaving the snapshot stale. Copies freeze their own weights.
+    GATHER_COST), else "grouped"; ``executed_macs`` are the multiply-adds
+    per output position of the one that runs. A dense plan holds that
+    weight in ``dense_weight``, a snapshot taken at build time. The plan
+    makes the block weights it views read-only, so an in-place edit
+    raises instead of leaving the snapshot stale; copies freeze their
+    own weights.
     """
 
-    def __init__(self, groups, out_channels, in_channels, kernel, name="groupconv",
-                 freeze=False):
+    def __init__(self, groups, out_channels, in_channels, kernel, name="groupconv"):
         self.triples = [(np.asarray(f, dtype=np.int64), np.asarray(c, dtype=np.int64), w)
                         for f, c, w in groups]
         seen = np.concatenate([f for f, _, _ in self.triples] or [np.empty(0, np.int64)])
         if len(np.unique(seen)) != len(seen):
             raise ValueError(f"{name}: overlapping filter assignment across groups")
-        if not np.array_equal(np.sort(seen), np.arange(out_channels)):
+        # the count first: out_channels may be too large to enumerate
+        if len(seen) != out_channels or not np.array_equal(np.sort(seen),
+                                                           np.arange(out_channels)):
             raise ValueError(f"{name}: filter indices do not partition 0..{out_channels - 1}")
         self.out_channels, self.in_channels = out_channels, in_channels
-        self.kernel, self.name, self.freeze = kernel, name, freeze
+        self.kernel, self.name = kernel, name
         live = [c for f, c, _ in self.triples if len(f) and len(c)]
         self.union = np.unique(np.concatenate(live)) if live else np.empty(0, dtype=np.int64)
         if len(self.union) and (self.union[0] < 0 or self.union[-1] >= in_channels):
@@ -222,15 +229,14 @@ class GroupExecPlan:
                 raise ValueError(f"{name}: group {gi} lists an input channel twice")
             rows = (np.searchsorted(self.union, c)[:, None] * taps + np.arange(taps)).ravel()
             self.blocks.append((f, rows, w.reshape(len(f), len(c) * taps)))
-        if freeze:
-            for _, _, w in self.triples:
-                w.flags.writeable = False
+        for _, _, w in self.triples:
+            w.flags.writeable = False
         self.block_macs = sum(w2d.size for _, _, w2d in self.blocks)
         self.gathered_rows = sum(len(rows) for _, rows, _ in self.blocks)
-        grouped_cost = self.block_macs + GATHER_COST * self.gathered_rows
-        self.executor = "dense" if out_channels * in_channels * taps < grouped_cost else "grouped"
-        self.dense_weight = None
-        if self.executor == "dense":
+        dense_macs = out_channels * in_channels * taps
+        self.executor, self.executed_macs, self.dense_weight = "grouped", self.block_macs, None
+        if dense_macs < self.block_macs + GATHER_COST * self.gathered_rows:
+            self.executor, self.executed_macs = "dense", dense_macs
             dense = np.zeros((out_channels, in_channels, taps),
                              dtype=np.result_type(*(w2d for _, _, w2d in self.blocks)))
             for f, c, w in self.triples:
@@ -244,22 +250,7 @@ class GroupExecPlan:
 
     def __reduce__(self):  # copies rebuild their views on the copied weights
         return GroupExecPlan, (self.triples, self.out_channels, self.in_channels,
-                               self.kernel, self.name, self.freeze)
-
-    def check_input(self, c_in, out_channels, kernel):
-        if c_in != self.in_channels:
-            raise ValueError(f"{self.name}: input has {c_in} channels, "
-                             f"weights expect {self.in_channels}")
-        if (out_channels, kernel) != (self.out_channels, self.kernel):
-            raise ValueError(f"{self.name}: plan is for {self.out_channels} outputs with "
-                             f"kernel {self.kernel}, called with {out_channels} and {kernel}")
-
-
-def _plan(groups, out_channels, c_in, kernel, name):
-    if not isinstance(groups, GroupExecPlan):
-        groups = GroupExecPlan(groups, out_channels, c_in, kernel, name)
-    groups.check_input(c_in, out_channels, kernel)
-    return groups
+                               self.kernel, self.name)
 
 
 def _add_bias(out, bias):
@@ -268,17 +259,14 @@ def _add_bias(out, bias):
     return out + np.asarray(bias).reshape(1, -1, *([1] * (out.ndim - 2)))
 
 
-def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
-                       stride=1, padding=0, name="groupconv"):
+def group_conv_forward(x, plan, bias=None, *, stride=1, padding=0):
     """Diverse group convolution: per-group channel gather, dense conv, scatter.
 
-    ``groups`` is a GroupExecPlan or a sequence of (filter_indices,
-    channel_indices, weight) triples, from which a plan is built for this
-    call. Each group convolves its input channels (duplicates across
-    groups are allowed, a channel may appear in no group) with its own
-    (n_f, n_c, k, k) block and scatters the result to the original filter
-    positions. Filter index lists must partition 0..out_channels-1. A
-    group whose channel list is empty contributes bias only.
+    ``plan`` is the layer's GroupExecPlan. Each group convolves its input
+    channels (duplicates across groups are allowed, a channel may appear
+    in no group) with its own (n_f, n_c, k, k) block and scatters the
+    result to the original filter positions. A group whose channel list
+    is empty contributes bias only.
 
     A plan whose executor is "dense" runs one conv2d_forward on its
     zero-filled weight, so the output is bit-identical to the masked
@@ -289,19 +277,13 @@ def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
     GEMM shapes and summation order as a dense conv of the gathered
     channels, so outputs do not depend on the chunk size.
     """
-    if x.ndim != 4:
-        raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
-    plan = _plan(groups, out_channels, x.shape[1], kernel, name)
+    kernel, c_out = plan.kernel, plan.out_channels
+    ho, wo = _conv_out_hw(x, plan.in_channels, kernel, stride, padding, plan.name)
     if plan.dense_weight is not None:
         return conv2d_forward(x, plan.dense_weight, bias, stride=stride, padding=padding,
-                              name=name)
-    n, _, h, w = x.shape
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
-    if ho < 1 or wo < 1:
-        raise ValueError(f"{name}: kernel {kernel} stride {stride} pad {padding} does not fit "
-                         f"input {h}x{w}")
-    out = np.zeros((n, out_channels, ho * wo), dtype=x.dtype)
+                              name=plan.name)
+    n = x.shape[0]
+    out = np.zeros((n, c_out, ho * wo), dtype=x.dtype)
     if plan.blocks:
         step = max(1, CHUNK_ELEMENTS // (len(plan.union) * kernel * kernel * ho * wo))
         for lo in range(0, n, step):
@@ -312,22 +294,25 @@ def group_conv_forward(x, groups, out_channels, kernel, bias=None, *,
                 # conv; a fancy-indexed middle axis may not, and BLAS would then
                 # run a different code path
                 out[lo:lo + step, filt] = np.matmul(w2d, np.take(cols, rows, axis=1))
-    return _add_bias(out.reshape(n, out_channels, ho, wo), bias)
+    return _add_bias(out.reshape(n, c_out, ho, wo), bias)
 
 
-def group_fc_forward(x, groups, out_features, bias=None, *, name="groupfc"):
+def group_fc_forward(x, plan, bias=None):
     """Grouped fully-connected layer on (N, C_in) input; blocks are (n_f, n_c).
 
     Same gather/scatter contract and executor choice as group_conv_forward
     (kernel 1): a "dense" plan runs one fc_forward on its zero-filled
     weight, and each grouped block runs the fc matmul on the whole batch.
     """
+    name = plan.name
     if x.ndim != 2:
         raise ValueError(f"{name}: expected 2-d input (N,C_in), got shape {tuple(x.shape)}")
-    plan = _plan(groups, out_features, x.shape[1], 1, name)
+    if x.shape[1] != plan.in_channels:
+        raise ValueError(f"{name}: input has {x.shape[1]} channels, "
+                         f"weights expect {plan.in_channels}")
     if plan.dense_weight is not None:
-        return fc_forward(x, plan.dense_weight.reshape(out_features, -1), bias, name=name)
-    out = np.zeros((x.shape[0], out_features), dtype=x.dtype)
+        return fc_forward(x, plan.dense_weight.reshape(plan.out_channels, -1), bias, name=name)
+    out = np.zeros((x.shape[0], plan.out_channels), dtype=x.dtype)
     if plan.blocks:
         union = np.take(x, plan.union, axis=1)
         for filt, rows, w2d in plan.blocks:

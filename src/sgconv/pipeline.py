@@ -203,6 +203,9 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 512) -> dict:
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    # walk the sample shape through every layer first: a sample the model cannot
+    # take fails here by the layer's name, not inside a forward or its allocation
+    count_flops(model, dataset.features.shape[1:])
     top1 = 0
     top5 = 0
     want_top5 = dataset.num_classes >= 5

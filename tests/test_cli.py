@@ -7,10 +7,10 @@ import pytest
 
 from sgconv import cli
 from sgconv.cli import main
-from sgconv.data import make_blob_dataset, save_dataset
+from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import build_toy_cnn
+from sgconv.model import FcLayer, Model, build_toy_cnn
 from sgconv.pipeline import TrainConfig, sgd_finetune
 from test_deploy import corrupt_first_block
 
@@ -112,6 +112,27 @@ def test_eval_prints_accuracy(workspace, capsys):
     out = capsys.readouterr().out
     assert out.startswith("top1 ")
     assert float(out.split()[1]) >= 0.9
+
+
+def test_eval_of_0d_samples_exits_2_naming_the_layer(workspace, capsys):
+    save_model(Model([FcLayer("fc1", np.ones((2, 4), np.float32))]),
+               *sgm_paths(workspace / "fc"))
+    save_dataset(Dataset(np.zeros(3, np.float32), np.zeros(3, np.int32), 2),
+                 workspace / "scalars.sgd")
+    code = main(["eval", "--model", str(workspace / "fc.sgm.json"),
+                 "--data", str(workspace / "scalars.sgd")])
+    assert code == 2
+    assert "layer 'fc1' expects width 4, got 1" in capsys.readouterr().err
+
+
+def test_eval_with_huge_padding_exits_2_before_allocating(workspace, capsys):
+    manifest = workspace / "toy.sgm.json"
+    doc = json.loads(manifest.read_text())
+    doc["layers"][1]["padding"] = 1000000  # conv2: its output no longer fits fc1
+    manifest.write_text(json.dumps(doc))
+    code = main(["eval", "--model", str(manifest), "--data", str(workspace / "test.sgd")])
+    assert code == 2
+    assert "layer 'fc1' expects width 128" in capsys.readouterr().err
 
 
 def test_report_prints_toy_params(workspace, capsys):

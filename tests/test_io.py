@@ -138,6 +138,17 @@ def test_version_mismatch(tmp_path):
         load_model(manifest, blob)
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_version_equal_to_1_but_not_the_integer(tmp_path, version):
+    manifest, blob = sgm_paths(tmp_path / "t")
+    save_model(build_toy_cnn(1), manifest, blob)
+    doc = json.loads(manifest.read_text())
+    doc["format_version"] = version
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="format_version"):
+        load_model(manifest, blob)
+
+
 def test_first_conv_compress_rejected(tmp_path, rng):
     bad = Model(layers=[ConvLayer("c0", rng.standard_normal((2, 1, 3, 3)).astype(np.float32),
                                   compress=True)])
@@ -171,6 +182,23 @@ def test_groupconv_roundtrip_identical_outputs(tmp_path, rng):
     loaded, _, _ = save_load(deployed, tmp_path, "deployed")
     x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
     np.testing.assert_array_equal(deployed.forward(x), loaded.forward(x))
+
+
+def test_groupconv_too_many_outputs_is_a_format_error(tmp_path, rng, capsys):
+    # the filter count is compared first: enumerating 10**13 ids would not fit in memory
+    from sgconv.deploy import convert_model
+    manifest, blob = sgm_paths(tmp_path / "d")
+    save_model(convert_model(prune_a_bit(build_toy_cnn(5), rng)), manifest, blob)
+    doc = json.loads(manifest.read_text())
+    rec = next(rec for rec in doc["layers"] if rec["name"] == "conv2")
+    assert rec["kind"] == "groupconv"
+    del rec["bias_offset"], rec["bias_length"]
+    rec["out_channels"] = 10**13
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="do not partition"):
+        load_model(manifest, blob)
+    assert main(["report", "--model", str(manifest)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # Keys the loader needs, per record kind; optional keys (bias, mask and
@@ -211,6 +239,7 @@ BAD_VALUES = [
     ("groupings-fractional-group-id", "groupings", "assignment", [0.5, 1, 0, 1, 0, 1]),
     ("groups-fractional-filter", "groups", "filters", [0, 2, 4.5]),
     ("groups-fractional-channel", "groups", "channels", [0, 1, 2, 3, 4, 5.5]),
+    ("groupings-num-groups-fraction", "groupings", "num_groups", 2.5),
     # a string "false" is truthy: the layer would count as compressible
     ("fc-compress-string", "fc", "compress", "false"),
     ("fc-compress-int", "fc", "compress", 0),
@@ -281,6 +310,40 @@ def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key,
         load_model(manifest, blob)
     assert main(["report", "--model", str(manifest)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# values no larger than 10**6, so one that passes validation fails its allocation
+# at once rather than paging the machine
+ODD_VALUES = [0, -1, 2.5, True, None, "x", [], {}, 10**6]
+
+
+def test_every_one_field_mutation_exits_0_or_2(tmp_path, rng, capsys):
+    """Every field of every record set to each odd value in turn: report and
+    eval either run or refuse with a named error, never a traceback."""
+    manifest, blob = sgm_paths(tmp_path / "m")
+    save_model(every_kind_model(rng), manifest, blob)
+    data = tmp_path / "d.sgd"
+    save_dataset(make_blob_dataset(4, seed=1), data)
+    doc = json.loads(manifest.read_text())
+    records = (doc["layers"] + [g for rec in doc["layers"] for g in rec.get("groups", [])]
+               + list(doc["masks"].values()) + list(doc["groupings"].values()))
+    fields = [(doc, "format_version")] + [(rec, key) for rec in records for key in rec]
+    assert len(fields) == 97
+    failures = []
+    for rec, key in fields:
+        for value in ODD_VALUES:
+            original, rec[key] = rec[key], value
+            manifest.write_text(json.dumps(doc))
+            rec[key] = original
+            for command in ("report", "eval"):
+                try:
+                    code = main([command, "--model", str(manifest), "--data", str(data)])
+                except Exception as exc:  # an escaping exception fails like a bad exit code
+                    code = repr(exc)[:80]
+                err = capsys.readouterr().err
+                if code not in (0, 2) or (code == 2 and "error:" not in err):
+                    failures.append((rec.get("name"), key, value, command, code))
+    assert failures == []
 
 
 # ---------------------------------------------------------------- datasets

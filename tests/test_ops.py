@@ -237,8 +237,8 @@ def test_group_conv_single_group_is_exact(rng):
     x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
     w = rng.standard_normal((5, 4, 3, 3)).astype(np.float32)
     b = rng.standard_normal(5).astype(np.float32)
-    groups = [(np.arange(5), np.arange(4), w)]
-    got = ops.group_conv_forward(x, groups, 5, 3, b)
+    plan = ops.GroupExecPlan([(np.arange(5), np.arange(4), w)], 5, 4, 3)
+    got = ops.group_conv_forward(x, plan, b)
     np.testing.assert_array_equal(got, ops.conv2d_forward(x, w, b))
 
 
@@ -250,9 +250,9 @@ def test_group_conv_two_halves_vs_block_diagonal(rng):
     dense = np.zeros((6, 4, 3, 3), np.float32)
     dense[:3, :2] = w1
     dense[3:, 2:] = w2
-    groups = [(np.arange(3), np.arange(2), w1),
-              (np.arange(3, 6), np.arange(2, 4), w2)]
-    got = ops.group_conv_forward(x, groups, 6, 3)
+    plan = ops.GroupExecPlan([(np.arange(3), np.arange(2), w1),
+                              (np.arange(3, 6), np.arange(2, 4), w2)], 6, 4, 3)
+    got = ops.group_conv_forward(x, plan)
     np.testing.assert_allclose(got, ops.conv2d_forward(x, dense), atol=1e-6)
 
 
@@ -261,31 +261,30 @@ def test_group_conv_scatter_and_reuse(rng):
     x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
     wa = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
     wb = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-    groups = [(np.array([0, 2]), np.array([0, 1]), wa),
-              (np.array([1]), np.array([1]), wb),
-              (np.array([3]), np.array([], dtype=np.int64),
-               np.zeros((1, 0, 3, 3), np.float32))]
+    plan = ops.GroupExecPlan([(np.array([0, 2]), np.array([0, 1]), wa),
+                              (np.array([1]), np.array([1]), wb),
+                              (np.array([3]), np.array([], dtype=np.int64),
+                               np.zeros((1, 0, 3, 3), np.float32))], 4, 3, 3)
     bias = np.array([0.0, 0.0, 0.0, 0.5], np.float32)
-    out = ops.group_conv_forward(x, groups, 4, 3, bias)
+    out = ops.group_conv_forward(x, plan, bias)
     np.testing.assert_allclose(out[:, [0, 2]], ops.conv2d_forward(x[:, [0, 1]], wa), atol=1e-6)
     np.testing.assert_allclose(out[:, [1]], ops.conv2d_forward(x[:, [1]], wb), atol=1e-6)
     assert np.all(out[:, 3] == 0.5)  # empty group emits bias only
 
 
 def test_group_conv_errors(rng):
-    x = np.zeros((1, 3, 4, 4), np.float32)
     w = np.zeros((2, 2, 3, 3), np.float32)
     with pytest.raises(ValueError, match="overlapping"):
-        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 1]), w),
-                                   (np.array([1, 2]), np.array([0, 1]), w)], 4, 3)
+        ops.GroupExecPlan([(np.array([0, 1]), np.array([0, 1]), w),
+                           (np.array([1, 2]), np.array([0, 1]), w)], 4, 3, 3)
     with pytest.raises(ValueError, match="partition"):
-        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 1]), w)], 4, 3)
+        ops.GroupExecPlan([(np.array([0, 1]), np.array([0, 1]), w)], 4, 3, 3)
     with pytest.raises(ValueError, match="out of range"):
-        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 7]), w)], 2, 3)
+        ops.GroupExecPlan([(np.array([0, 1]), np.array([0, 7]), w)], 2, 3, 3)
     with pytest.raises(ValueError, match="group 0 weight"):
-        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([0, 1, 2]), w)], 2, 3)
+        ops.GroupExecPlan([(np.array([0, 1]), np.array([0, 1, 2]), w)], 2, 3, 3)
     with pytest.raises(ValueError, match="group 0 lists an input channel twice"):
-        ops.group_conv_forward(x, [(np.array([0, 1]), np.array([1, 1]), w)], 2, 3)
+        ops.GroupExecPlan([(np.array([0, 1]), np.array([1, 1]), w)], 2, 3, 3)
     # a layer built for 8 input channels refuses 12, as the dense kernel does
     layer = GroupConvLayer("conv2", [GroupBlock(np.arange(8), np.arange(8),
                                                 np.zeros((8, 8, 3, 3), np.float32))],
@@ -293,9 +292,9 @@ def test_group_conv_errors(rng):
     with pytest.raises(ValueError, match="conv2: input has 12 channels, weights expect 8"):
         layer.linear(np.zeros((1, 12, 8, 8), np.float32))
     big = np.zeros((2, 1, 5, 5), np.float32)
+    plan = ops.GroupExecPlan([(np.arange(2), np.arange(1), big)], 2, 1, 5, name="conv2")
     with pytest.raises(ValueError, match="conv2: kernel 5 stride 1 pad 0 does not fit input 2x2"):
-        ops.group_conv_forward(np.zeros((1, 1, 2, 2), np.float32),
-                               [(np.arange(2), np.arange(1), big)], 2, 5, name="conv2")
+        ops.group_conv_forward(np.zeros((1, 1, 2, 2), np.float32), plan)
 
 
 def group_forward_reference(x, groups, out_channels, bias=None, *, stride=1, padding=0):
@@ -389,15 +388,6 @@ def test_planned_group_forward_is_bit_identical_to_group_loop():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ops, "CHUNK_ELEMENTS", chunk)
             np.testing.assert_array_equal(layer.linear(x), expected)
-            if x.ndim == 4:  # raw triples build a plan for the call
-                got = ops.group_conv_forward(x, triples, layer.out_channels, layer.kernel,
-                                             layer.bias, stride=layer.stride,
-                                             padding=layer.padding)
-            else:
-                got = ops.group_fc_forward(x, [(f, c, w.reshape(w.shape[:2]))
-                                               for f, c, w in triples],
-                                           layer.out_channels, layer.bias)
-            np.testing.assert_array_equal(got, expected)
 
     check()
     assert executors == {"grouped", "dense"}
@@ -423,6 +413,7 @@ def test_executor_choice_on_one_filter_and_eight_filter_blocks(rng):
               for g in range(8)]
     wide = GroupConvLayer("conv2", blocks, in_channels=64, out_channels=64, kernel=3)
     assert wide.plan.executor == "grouped"
+    assert wide.plan.executed_macs == wide.plan.block_macs == 8 * 8 * 16 * 9
 
 
 def test_group_plan_views_weights_and_copies_rebuild(rng):
@@ -443,15 +434,15 @@ def test_group_plan_views_weights_and_copies_rebuild(rng):
         twin.groups[0].weight += 1.0
     x = rng.standard_normal((2, 8, 5, 5)).astype(np.float32)
     np.testing.assert_array_equal(twin.linear(x), layer.linear(x))
-    # arrays passed as raw triples are left as they were, on either executor
+    # a plan built directly freezes the weights it views, on either executor
     executors = []
     for chan in (np.array([2]), np.arange(8)):
         raw = rng.standard_normal((4, len(chan), 3, 3)).astype(np.float32)
-        before = raw.copy()
-        ops.group_conv_forward(x, [(np.arange(4), chan, raw)], 4, 3)
-        assert raw.flags.writeable
-        np.testing.assert_array_equal(raw, before)
-        executors.append(ops.GroupExecPlan([(np.arange(4), chan, raw)], 4, 8, 3).executor)
+        plan = ops.GroupExecPlan([(np.arange(4), chan, raw)], 4, 8, 3)
+        assert not raw.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            raw += 1.0
+        executors.append(plan.executor)
     assert executors == ["grouped", "dense"]
 
 
