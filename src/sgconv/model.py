@@ -289,6 +289,9 @@ class AffineLayer:
         return (dz * self._per_channel(self.scale, dz.ndim) if need_dx else None), None
 
     def out_shape(self, shape):
+        if shape[0] != self.scale.size:
+            raise ValueError(f"layer {self.name!r} expects {self.scale.size} channels, "
+                             f"got {shape[0]}")
         return tuple(shape)
 
     def macs(self, shape):

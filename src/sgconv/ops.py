@@ -6,7 +6,10 @@ layout and the executor its forward runs on, the grouped blocks or one
 dense conv2d/fc call on the zero-filled weight rebuilt from them,
 whichever a fixed cost model bills less. Model code feeds float32; the
 kernels preserve whatever dtype they receive so tests can run float64
-finite differences through the same code path.
+finite differences through the same code path. conv2d's input gradient,
+which only fine-tuning computes, is laid out tap-major so that it runs as
+one GEMM and k*k long contiguous adds, bit-identical to a per-sample GEMM
+and col2im scatter.
 """
 from __future__ import annotations
 
@@ -50,19 +53,62 @@ def _im2col(x, kernel, stride, padding):
     return cols.reshape(n, c * kernel * kernel, ho * wo)
 
 
-def _col2im(dcols, x_shape, kernel, stride, padding):
-    """Scatter-add patch columns back onto an (N,C,H,W) gradient."""
-    n, c, h, w = x_shape
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
-    dpad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
-    dcols = dcols.reshape(n, c, kernel, kernel, ho, wo)
-    for i in range(kernel):
-        for j in range(kernel):
-            dpad[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
-    if padding > 0:
-        return dpad[:, :, padding : padding + h, padding : padding + w]
-    return dpad
+def _conv_input_grad(dout, weight, x_shape, stride, padding):
+    """Gradient of conv2d_forward w.r.t. its (N,C_in,H,W) input, laid out tap-major.
+
+    With stride s, dout is copied into a zero (C_out, N, hr + 1, wr)
+    buffer, hr = ceil(H_pad / s) and wr = ceil(W_pad / s): each sample's
+    plane has the rows and columns of one stride phase of the padded
+    input, plus a spare row for the tap shifts to run into. One GEMM of
+    the (tap, C_in)-ordered weight by that buffer gives, per tap (i, j), a
+    contiguous (C_in, N, plane) slab of products. Each slab is added, in
+    (i, j) order, onto the slab of its phase (i % s, j % s), shifted by
+    (i // s) * wr + j // s. The phases are then interleaved and the
+    padding cropped.
+
+    dx is bit-identical to a per-sample GEMM followed by a tap-by-tap
+    scatter-add of the unfolded columns onto a zero-filled gradient: every
+    element gets the same products in the same (i, j) order, starting from
+    +0.0, and stacking the samples along the GEMM's columns leaves each
+    sum over C_out as it was. The widened columns and spare rows add only
+    zero products, while the weights are finite. An infinite weight, which
+    training meets only as an -inf pre-activation that ReLU maps to 0,
+    already makes that scatter's dx NaN; here the NaN may spread further.
+    """
+    n, c_in, h, w = x_shape
+    c_out, _, k, _ = weight.shape
+    ho, wo = dout.shape[2:]
+    s = stride
+    hr, wr = -(-(h + 2 * padding) // s), -(-(w + 2 * padding) // s)
+    dtype = np.result_type(dout, weight)
+    if ho * wo > 1 and c_in * k * k > 1:
+        wide = np.zeros((c_out, n, hr + 1, wr), dtype=dtype)
+        wide[:, :, :ho, :wo] = dout.transpose(1, 0, 2, 3)
+        taps = np.matmul(weight.transpose(2, 3, 1, 0).reshape(-1, c_out),
+                         wide.reshape(c_out, -1))
+    else:
+        # numpy runs these products as matrix-vector calls, which BLAS sums
+        # in an order that depends on the vector length: keep the per-sample
+        # calls so that dx stays bit-identical
+        dcols = np.matmul(weight.reshape(c_out, -1).T, dout.reshape(n, c_out, ho * wo))
+        taps = np.zeros((k, k, c_in, n, hr + 1, wr), dtype=dtype)
+        taps[..., :ho, :wo] = dcols.reshape(n, c_in, k, k, ho, wo).transpose(2, 3, 1, 0, 4, 5)
+    taps = taps.reshape(k, k, -1)
+    size = taps.shape[2]
+    dpad = (np.zeros if k < s else np.empty)((n, c_in, s * hr, s * wr), dtype=dtype)
+    for a in range(min(k, s)):
+        for b in range(min(k, s)):
+            acc = taps[a, b]  # the phase's first tap, shift 0
+            # start each sum from +0.0: a position that only ever gets -0.0
+            # products (negative weights times zero columns) must read +0.0
+            acc += 0.0
+            for i in range(a, k, s):
+                for j in range(b, k, s):
+                    shift = (i // s) * wr + j // s
+                    if shift:
+                        acc[shift:] += taps[i, j, :size - shift]
+            dpad[:, :, a::s, b::s] = acc.reshape(c_in, n, hr + 1, wr)[:, :, :hr].transpose(1, 0, 2, 3)
+    return dpad[:, :, padding:padding + h, padding:padding + w]
 
 
 def _conv_out_hw(x, c_in, kernel, stride, padding, name):
@@ -109,7 +155,9 @@ def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d",
 
     Returns (dx, dweight, dbias). ``cols`` are x's unfolded columns as
     conv2d_forward saved them; x is unfolded here when they are not given.
-    With ``need_dx`` false, dx is None and its GEMM and scatter are skipped.
+    dx is one GEMM over the whole batch and one contiguous shifted add per
+    kernel tap (see _conv_input_grad); with ``need_dx`` false it is None
+    and that work is skipped.
     Masked/pruned entries are NOT zeroed here; mask enforcement belongs to
     the training loop.
     """
@@ -125,10 +173,7 @@ def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d",
     dweight = np.matmul(dout_flat, cols.transpose(0, 2, 1)).sum(axis=0)
     dweight = dweight.reshape(weight.shape)
     dbias = dout.sum(axis=(0, 2, 3))
-    dx = None
-    if need_dx:
-        dcols = np.matmul(weight.reshape(c_out, -1).T, dout_flat)
-        dx = _col2im(dcols, x.shape, kernel, stride, padding)
+    dx = _conv_input_grad(dout, weight, x.shape, stride, padding) if need_dx else None
     return dx, dweight, dbias
 
 

@@ -296,6 +296,9 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         "iterations": [],
         "timings": {},
     }
+    # the model's latest accuracy, reported as accuracy_after: only the
+    # model's changes call for evaluating it again
+    accuracy = report["accuracy_before"]
 
     def kinds_pending():
         return [kind for kind, target in targets.items()
@@ -329,7 +332,7 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
             sgd_finetune(model, dataset, local_cfg)
             local_seconds += time.perf_counter() - tick
         if eval_set is not None:
-            record["accuracy"] = evaluate(model, eval_set)
+            record["accuracy"] = accuracy = evaluate(model, eval_set)
         report["iterations"].append(record)
         t += 1
 
@@ -345,12 +348,13 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
                                  seed=[schedule.seed, 33])
         sgd_finetune(model, dataset, global_cfg)
         global_seconds = time.perf_counter() - tick
+        accuracy = evaluate(model, eval_set) if eval_set is not None else None
 
     report["final"] = {**model_ratios(model),
                        "network_dead_fraction": model_dead_fraction(model)}
     report["params_after"] = count_params(model)
     report["flops_after"] = count_flops(model, input_shape)
-    report["accuracy_after"] = evaluate(model, eval_set) if eval_set is not None else None
+    report["accuracy_after"] = accuracy
     report["timings"] = {
         "prune_s": prune_seconds,
         "local_finetune_s": local_seconds,

@@ -10,7 +10,7 @@ from sgconv.cli import main
 from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import FcLayer, Model, build_toy_cnn
+from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, build_toy_cnn
 from sgconv.pipeline import TrainConfig, sgd_finetune
 from test_deploy import corrupt_first_block
 
@@ -133,6 +133,18 @@ def test_eval_with_huge_padding_exits_2_before_allocating(workspace, capsys):
     code = main(["eval", "--model", str(manifest), "--data", str(workspace / "test.sgd")])
     assert code == 2
     assert "layer 'fc1' expects width 128" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report --input-shape 3,8,8", "eval --data {}/test.sgd"])
+def test_affine_narrower_than_its_input_exits_2_naming_the_layer(workspace, capsys, command):
+    ones = np.ones(1, np.float32)  # one channel after a 4-channel conv
+    model = Model([ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False),
+                   AffineLayer("bn", ones, ones),
+                   FcLayer("fc1", np.ones((10, 4 * 6 * 6), np.float32))])
+    save_model(model, *sgm_paths(workspace / "narrow"))
+    code = main([*command.format(workspace).split(), "--model", str(workspace / "narrow.sgm.json")])
+    assert code == 2
+    assert "layer 'bn' expects 1 channels, got 4" in capsys.readouterr().err
 
 
 def test_report_prints_toy_params(workspace, capsys):

@@ -171,8 +171,9 @@ def test_finetune_matches_full_work_reference(case):
 
 def test_one_step_unfolds_each_conv_input_once(monkeypatch):
     # toy net: conv1 (3x8x8 input), conv2 (8x6x6 input), fc1
-    calls = {"_im2col": [], "_col2im": []}
-    for name, shape_of in (("_im2col", lambda a: a[0].shape), ("_col2im", lambda a: a[1])):
+    calls = {"_im2col": [], "_conv_input_grad": []}
+    for name, shape_of in (("_im2col", lambda a: a[0].shape),
+                           ("_conv_input_grad", lambda a: a[2])):
         real = getattr(ops, name)
 
         def counted(*args, _real=real, _calls=calls[name], _shape_of=shape_of):
@@ -182,7 +183,8 @@ def test_one_step_unfolds_each_conv_input_once(monkeypatch):
         monkeypatch.setattr(ops, name, counted)
     train = make_blob_dataset(16, seed=0)
     sgd_finetune(build_toy_cnn(0), train, TrainConfig(epochs=1, batch_size=16, seed=0))
-    assert calls == {"_im2col": [(16, 3, 8, 8), (16, 8, 6, 6)], "_col2im": [(16, 8, 6, 6)]}
+    assert calls == {"_im2col": [(16, 3, 8, 8), (16, 8, 6, 6)],
+                     "_conv_input_grad": [(16, 8, 6, 6)]}
 
 
 def test_finetune_returns_mean_epoch_loss():

@@ -3,7 +3,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgconv import ops
@@ -47,6 +47,21 @@ def fc_loops(x, weight, bias=None):
                 acc += float(weight[f, c]) * float(x[b, c])
             out[b, f] = acc + (float(bias[f]) if bias is not None else 0.0)
     return out
+
+
+def reference_conv_input_grad(dout, weight, x_shape, stride, padding):
+    """conv2d's input gradient as one GEMM per sample and a scatter-add of
+    the unfolded columns, tap by tap onto a zero-filled padded gradient."""
+    n, c_in, h, w = x_shape
+    c_out, _, k, _ = weight.shape
+    ho, wo = dout.shape[2:]
+    dcols = np.matmul(weight.reshape(c_out, -1).T, dout.reshape(n, c_out, ho * wo))
+    dcols = dcols.reshape(n, c_in, k, k, ho, wo)
+    dpad = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            dpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
+    return dpad[:, :, padding:padding + h, padding:padding + w]
 
 
 def central_diff(loss_fn, arr, h=1e-3):
@@ -207,6 +222,50 @@ def test_conv_backward_stride_padding_fd(rng, stride, padding):
     dx, dw, _ = ops.conv2d_backward(proj, x, w, stride=stride, padding=padding)
     assert rel_error(dx, central_diff(loss, x)) < 1e-3
     assert rel_error(dw, central_diff(loss, w)) < 1e-3
+
+
+def input_grad_case(seed, n, c_in, c_out, h, w, kernel, stride, padding, dtype,
+                    dead=0.5, negative_zeros=0.3):
+    """A conv's upstream gradient and masked weights, with -0.0 entries in both."""
+    rng = np.random.default_rng(seed)
+    weight = rng.standard_normal((c_out, c_in, kernel, kernel)).astype(dtype)
+    weight[rng.random((c_out, c_in)) < dead] = 0.0
+    weight[rng.random(weight.shape) < 0.2] = -0.0
+    ho = ops.conv_out_size(h, kernel, stride, padding)
+    wo = ops.conv_out_size(w, kernel, stride, padding)
+    dout = rng.standard_normal((n, c_out, ho, wo)).astype(dtype)
+    dout[rng.random(dout.shape) < negative_zeros] = -0.0
+    return dout, weight, (n, c_in, h, w), stride, padding
+
+
+@st.composite
+def input_grad_cases(draw):
+    kernel = draw(st.sampled_from([1, 3, 5]))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    low = max(1, kernel - 2 * padding)
+    h = draw(st.integers(low, low + 5))
+    w = draw(st.integers(low, low + 5).filter(lambda v: v != h))
+    n, c_in, c_out = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return input_grad_case(draw(st.integers(0, 2**32 - 1)), n, c_in, c_out, h, w,
+                           kernel, stride, padding,
+                           draw(st.sampled_from([np.float32, np.float64])),
+                           draw(st.sampled_from([0.0, 0.5, 1.0])),
+                           draw(st.sampled_from([0.0, 0.3, 1.0])))
+
+
+@settings(max_examples=400)
+@given(input_grad_cases())
+# numpy runs the per-sample products of these two as matrix-vector calls:
+# a 1x1 output, and a single input channel under a 1x1 kernel
+@example(input_grad_case(0, 2, 3, 4, 3, 4, 3, 2, 0, np.float64))
+@example(input_grad_case(0, 5, 1, 4, 5, 7, 1, 3, 0, np.float32))
+def test_conv_input_grad_is_bit_identical_to_per_sample_scatter(case):
+    dout, weight, x_shape, stride, padding = case
+    x = np.zeros(x_shape, dtype=weight.dtype)
+    dx, _, _ = ops.conv2d_backward(dout, x, weight, stride=stride, padding=padding)
+    want = reference_conv_input_grad(dout, weight, x_shape, stride, padding)
+    assert dx.shape == want.shape and dx.dtype == want.dtype
+    assert dx.tobytes() == want.tobytes()
 
 
 def test_fc_backward_matches_finite_differences(rng):

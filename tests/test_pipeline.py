@@ -4,6 +4,7 @@ import copy
 import numpy as np
 import pytest
 
+from sgconv import pipeline
 from sgconv.data import Dataset, make_blob_dataset
 from sgconv.deploy import convert_model
 from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
@@ -252,6 +253,38 @@ def test_determinism_same_seed_same_weights():
             np.testing.assert_array_equal(la.bias, lb.bias)
     assert report_a["final"] == report_b["final"]
     assert report_a["accuracy_after"] == report_b["accuracy_after"]
+
+
+def test_model_is_evaluated_once_per_change(monkeypatch):
+    train, test = blob_split(15)
+    model = build_toy_cnn(15)
+    calls = []
+
+    def counted(*args, _real=pipeline.evaluate):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(pipeline, "evaluate", counted)
+
+    def run(**schedule):
+        calls.clear()
+        pruned, report = run_algorithm1(model, train, PruneSchedule(seed=0, **schedule),
+                                        test_dataset=test)
+        assert report["accuracy_after"] == evaluate(pruned, test)
+        return report, len(calls)
+
+    # before pruning and after each of the 2 iterations; the last one is accuracy_after
+    report, count = run(step=0.2, target_conv=0.4, target_fc=0.4, finetune="none")
+    assert len(report["iterations"]) == 2 and count == 3
+    assert report["accuracy_after"] == report["iterations"][-1]["accuracy"]
+    # global fine-tuning changes the model after the last iteration
+    report, count = run(step=0.2, target_conv=0.4, target_fc=0.4, finetune="global",
+                        global_epochs=1)
+    assert len(report["iterations"]) == 2 and count == 4
+    # no iteration runs, so nothing is fine-tuned either
+    report, count = run(target_conv=0.0, target_fc=0.0)
+    assert report["iterations"] == [] and count == 1
+    assert report["accuracy_after"] == report["accuracy_before"]
 
 
 def test_input_model_not_mutated():
