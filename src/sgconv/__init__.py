@@ -8,9 +8,9 @@ dense blocks with a verified forward-equivalence check (deploy).
 """
 
 from .data import Dataset, load_dataset, make_blob_dataset, save_dataset
-from .deploy import (EquivalenceError, GranularityError, convert_layer, convert_model,
-                     count_flops, count_params, infer_input_shape, max_forward_deviation,
-                     verify_equivalence)
+from .deploy import (EquivalenceError, GranularityError, batch_size_for, convert_layer,
+                     convert_model, count_flops, count_params, infer_input_shape,
+                     max_forward_deviation, verify_equivalence)
 from .grouping import Grouping, grouping_objective, kmeans_cluster
 from .importance import importance_conv, layer_importance
 from .io import (ModelFormatError, OverlappingRangesError, TruncatedBlobError,

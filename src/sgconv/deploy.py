@@ -69,6 +69,16 @@ def count_params(model: Model) -> int:
     return sum(layer.params() for layer in model.layers)
 
 
+def _layer_macs(model: Model, input_shape):
+    """Per-sample multiply-adds of each layer, walking the sample shape through
+    the model; a layer that cannot take its input raises ValueError by name."""
+    shape = tuple(int(v) for v in input_shape)
+    for layer in model.layers:
+        out_shape = layer.out_shape(shape)
+        yield layer.macs(shape)
+        shape = out_shape
+
+
 def count_flops(model: Model, input_shape) -> int:
     """FLOPs of one forward pass at the given input shape, as 2 x MACs.
 
@@ -76,13 +86,26 @@ def count_flops(model: Model, input_shape) -> int:
     the dense kernel cheaper); group-conv layers are billed per block at
     gathered-channel sizes. Bias adds are not counted.
     """
-    shape = tuple(int(v) for v in input_shape)
-    macs = 0
-    for layer in model.layers:
-        out_shape = layer.out_shape(shape)
-        macs += layer.macs(shape)
-        shape = out_shape
-    return 2 * macs
+    return 2 * sum(_layer_macs(model, input_shape))
+
+
+# Most multiply-adds any one layer may bill for a whole batch that the
+# callers owning an input set (evaluate, the equivalence check) forward at
+# once. A dense conv's unfolded input holds at most its MACs / C_out
+# values, so at 2**27 MACs a 64-filter conv unfolds 8 MiB of float32 per
+# batch: below glibc's largest mmap threshold (32 MiB), so the buffer is
+# reused from the heap rather than mapped and page-faulted afresh.
+BATCH_MACS = 2 ** 27
+MAX_BATCH = 512
+
+
+def batch_size_for(model: Model, input_shape) -> int:
+    """Largest batch, at most MAX_BATCH, for which no layer's per-sample
+    ``macs(input_shape)`` times the batch exceeds BATCH_MACS; 1 when a single
+    sample already does. Walks the shapes as count_flops does and raises the
+    same named errors."""
+    largest = max(_layer_macs(model, input_shape), default=0)
+    return max(1, min(MAX_BATCH, BATCH_MACS // max(largest, 1)))
 
 
 def infer_input_shape(model: Model, max_size: int = 64):
@@ -105,22 +128,39 @@ def _random_inputs(input_shape, n_inputs, seed):
     return rng.standard_normal((n_inputs, *input_shape)).astype(np.float32)
 
 
+def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
+    """The random inputs in batches that neither model's batch_size_for exceeds."""
+    x = _random_inputs(input_shape, n_inputs, seed)
+    step = min(batch_size_for(model_a, input_shape), batch_size_for(model_b, input_shape))
+    return [x[lo:lo + step] for lo in range(0, n_inputs, step)]
+
+
 def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
                           n_inputs: int = 100, seed=0) -> float:
-    """Largest |a - b| over random standard-normal inputs."""
-    x = _random_inputs(input_shape, n_inputs, seed)
-    return float(np.max(np.abs(model_a.forward(x) - model_b.forward(x))))
+    """Largest |a - b| over random standard-normal inputs (NaN if any is NaN).
+
+    Both models run on the same batches, each the largest that neither
+    model's batch_size_for exceeds. Conv and affine outputs do not depend
+    on the split; fc outputs may differ in the last bits from one
+    whole-batch forward, since BLAS picks its kernel by matrix size.
+    """
+    return float(np.max([np.max(np.abs(model_a.forward(x) - model_b.forward(x)))
+                         for x in _batches(model_a, model_b, input_shape, n_inputs, seed)]))
 
 
-def _first_layer_over(model_a: Model, model_b: Model, x, tol):
-    """Run both models side by side, layer by layer; the name and deviation
-    of the first layer whose outputs differ by more than ``tol``."""
-    xa = xb = x
-    for layer_a, layer_b in zip(model_a.layers, model_b.layers):
-        xa, xb = layer_forward(layer_a, xa), layer_forward(layer_b, xb)
-        dev = float(np.max(np.abs(xa - xb)))
+def _first_layer_over(model_a: Model, model_b: Model, batches, tol):
+    """Run both models side by side, layer by layer, on each batch; the name
+    and deviation of the first layer whose outputs differ by more than
+    ``tol`` on any batch."""
+    devs = np.zeros(len(model_b.layers))
+    for x in batches:
+        xa = xb = x
+        for i, (layer_a, layer_b) in enumerate(zip(model_a.layers, model_b.layers)):
+            xa, xb = layer_forward(layer_a, xa), layer_forward(layer_b, xb)
+            devs[i] = np.maximum(devs[i], np.max(np.abs(xa - xb)))  # keeps a NaN
+    for layer_b, dev in zip(model_b.layers, devs):
         if not dev <= tol:
-            return layer_b.name, dev
+            return layer_b.name, float(dev)
     return None
 
 
@@ -140,8 +180,8 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     if not dev <= tol:
         message = (f"deployed model deviates from masked dense forward: "
                    f"max abs deviation {dev:.3e} > {tol:.1e}")
-        first = _first_layer_over(original, deployed,
-                                  _random_inputs(input_shape, n_inputs, seed), tol)
+        first = _first_layer_over(original, deployed, _batches(
+            original, deployed, input_shape, n_inputs, seed), tol)
         if first is not None:
             message += f"; first layer over tolerance: {first[0]!r} ({first[1]:.3e})"
         raise EquivalenceError(message)

@@ -55,6 +55,12 @@ def mask_dead_fraction(mask: np.ndarray) -> float:
     return int((~mask).sum()) / mask.size
 
 
+# Most values a conv layer's padded input or its output may hold per sample:
+# 2**28, 1 GiB of float32. A shape walk rejects a larger layer by name
+# before any forward allocates it.
+MAX_LAYER_VALUES = 2 ** 28
+
+
 def _conv_out_shape(name, shape, c_in, c_out, kernel, stride, padding):
     if len(shape) != 3:
         raise ValueError(f"layer {name!r} needs a (C,H,W) input, got {shape}")
@@ -64,6 +70,11 @@ def _conv_out_shape(name, shape, c_in, c_out, kernel, stride, padding):
     wo = ops.conv_out_size(shape[2], kernel, stride, padding)
     if ho < 1 or wo < 1:
         raise ValueError(f"layer {name!r} output collapses on input {shape}")
+    padded = (c_in, shape[1] + 2 * padding, shape[2] + 2 * padding)
+    for what, dims in (("padded input", padded), ("output", (c_out, ho, wo))):
+        if math.prod(dims) > MAX_LAYER_VALUES:
+            raise ValueError(f"layer {name!r}: {what} {dims} holds more than "
+                             f"{MAX_LAYER_VALUES} values per sample")
     return (c_out, ho, wo)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .data import Dataset
-from .deploy import count_flops, count_params, infer_input_shape
+from .deploy import batch_size_for, count_flops, count_params, infer_input_shape
 from .grouping import Grouping, centroids_for, kmeans_cluster
 from .importance import layer_importance
 from .model import Model, apply_mask, validate_first_conv_uncompressed
@@ -195,17 +195,25 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
     return losses
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int = 512) -> dict:
+def evaluate(model: Model, dataset: Dataset, batch_size: int | None = None) -> dict:
     """Top-1 accuracy, plus top-5 when the label space has >= 5 classes.
 
-    Argmax ties resolve to the lowest class index.
+    Argmax ties resolve to the lowest class index. The dataset is forwarded
+    ``batch_size`` samples at a time; None sizes the batches by
+    ``batch_size_for``: the largest, at most 512, for which no layer bills
+    more than ``deploy.BATCH_MACS`` multiply-adds per batch. Conv and affine
+    outputs do not depend on the batch size, fc logits only in their last
+    bits.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     # walk the sample shape through every layer first: a sample the model cannot
     # take fails here by the layer's name, not inside a forward or its allocation
-    count_flops(model, dataset.features.shape[1:])
+    sized = batch_size_for(model, dataset.features.shape[1:])
+    batch_size = batch_size or sized
     top1 = 0
     top5 = 0
     want_top5 = dataset.num_classes >= 5

@@ -10,7 +10,8 @@ from sgconv.cli import main
 from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, build_toy_cnn
+from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model,
+                          build_toy_cnn)
 from sgconv.pipeline import TrainConfig, sgd_finetune
 from test_deploy import corrupt_first_block
 
@@ -128,11 +129,23 @@ def test_eval_of_0d_samples_exits_2_naming_the_layer(workspace, capsys):
 def test_eval_with_huge_padding_exits_2_before_allocating(workspace, capsys):
     manifest = workspace / "toy.sgm.json"
     doc = json.loads(manifest.read_text())
-    doc["layers"][1]["padding"] = 1000000  # conv2: its output no longer fits fc1
+    doc["layers"][1]["padding"] = 1000000  # conv2: padded past the per-layer cap
     manifest.write_text(json.dumps(doc))
     code = main(["eval", "--model", str(manifest), "--data", str(workspace / "test.sgd")])
     assert code == 2
-    assert "layer 'fc1' expects width 128" in capsys.readouterr().err
+    assert ("layer 'conv2': padded input (8, 2000006, 2000006) holds more than "
+            f"{MAX_LAYER_VALUES} values") in capsys.readouterr().err
+
+
+def test_eval_of_a_last_conv_padded_past_the_cap_exits_2_naming_it(workspace, capsys):
+    # no later layer checks this conv's output width: only the cap stops it
+    model = Model([ConvLayer("conv1", np.ones((2, 3, 3, 3), np.float32), padding=10**6,
+                             compress=False)])
+    save_model(model, *sgm_paths(workspace / "padded"))
+    code = main(["eval", "--model", str(workspace / "padded.sgm.json"),
+                 "--data", str(workspace / "test.sgd")])
+    assert code == 2
+    assert "layer 'conv1': padded input (3, 2000008, 2000008)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["report --input-shape 3,8,8", "eval --data {}/test.sgd"])

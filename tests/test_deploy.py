@@ -206,6 +206,48 @@ def test_equivalence_check_raises_on_nan_output():
         verify_equivalence(model, deployed, (3, 8, 8), seed=0)
 
 
+def toy_in_batches_of_7(monkeypatch, model):
+    """Lower the MAC budget so that the toy net's equivalence check runs its
+    100 inputs in 15 batches of at most 7."""
+    monkeypatch.setattr(deploy, "BATCH_MACS", 7 * model.layer("conv2").macs((8, 6, 6)))
+    assert deploy.batch_size_for(model, (3, 8, 8)) == 7
+
+
+def test_many_batch_check_names_the_first_layer_over_tolerance(monkeypatch):
+    model = build_toy_cnn(6)
+    toy_in_batches_of_7(monkeypatch, model)
+    deployed = corrupt_first_block(convert_model(model), "conv2")
+    with pytest.raises(EquivalenceError, match="first layer over tolerance: 'conv2'"):
+        verify_equivalence(model, deployed, (3, 8, 8), seed=0)
+
+
+def test_many_batch_check_fails_on_a_nan_in_one_middle_batch(monkeypatch):
+    model = build_toy_cnn(6)
+    toy_in_batches_of_7(monkeypatch, model)
+
+    def one_nan_input(*args, _real=deploy._random_inputs):
+        x = _real(*args)
+        x[50, 0, 0, 0] = np.nan  # batch 8 of 15
+        return x
+
+    monkeypatch.setattr(deploy, "_random_inputs", one_nan_input)
+    with pytest.raises(EquivalenceError,
+                       match=r"deviation nan .*first layer over tolerance: 'conv1' \(nan\)"):
+        verify_equivalence(model, convert_model(model), (3, 8, 8), seed=0)
+
+
+def test_many_batch_deviation_of_a_conv_net_equals_the_whole_batch_one(monkeypatch):
+    toy = build_toy_cnn(6)
+    model = Model(layers=toy.layers[:2])  # conv1 and conv2: no fc layer
+    deployed = corrupt_first_block(convert_model(toy), "conv2", delta=1e-3)
+    deployed = Model(layers=deployed.layers[:2])
+    whole = max_forward_deviation(model, deployed, (3, 8, 8), n_inputs=100, seed=4)
+    toy_in_batches_of_7(monkeypatch, toy)
+    assert deploy.batch_size_for(model, (3, 8, 8)) == 7
+    assert max_forward_deviation(model, deployed, (3, 8, 8), n_inputs=100, seed=4) == whole
+    assert whole > 0
+
+
 # ---------------------------------------------------------------- accounting
 
 def test_flops_closed_form_conv():

@@ -4,7 +4,7 @@ import pytest
 
 from sgconv import ops
 from sgconv.deploy import convert_model
-from sgconv.model import (AffineLayer, ConvLayer, FcLayer, Model, apply_mask,
+from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model, apply_mask,
                           layer_forward, validate_first_conv_uncompressed)
 
 
@@ -85,3 +85,14 @@ def test_bad_layer_settings_are_rejected_naming_the_layer(rng, settings, match):
     with pytest.raises(ValueError, match=f"layer 'c': {match}"):
         ConvLayer("c", w, **settings)
     assert ConvLayer("c", w, stride=np.int64(2), padding=np.int64(1)).stride == 2
+
+
+def test_conv_shape_walk_caps_padded_input_and_output_per_sample():
+    wide = ConvLayer("wide", np.zeros((2, 1, 1, 1), np.float32))
+    assert wide.out_shape((1, 11585, 11585)) == (2, 11585, 11585)  # input under the cap
+    with pytest.raises(ValueError, match=rf"layer 'wide': output \(2, 11586, 11586\) holds "
+                                         rf"more than {MAX_LAYER_VALUES} values"):
+        wide.out_shape((1, 11586, 11586))
+    padded = ConvLayer("padded", np.zeros((1, 3, 3, 3), np.float32), padding=10**4)
+    with pytest.raises(ValueError, match=r"layer 'padded': padded input \(3, 20008, 20008\)"):
+        padded.out_shape((3, 8, 8))

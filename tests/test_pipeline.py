@@ -59,6 +59,19 @@ def test_width_mismatch_error(rng):
         evaluate(model, ds)
 
 
+def test_evaluate_rejects_a_conv_padded_past_the_cap_before_allocating():
+    model = Model(layers=[ConvLayer("conv1", np.ones((2, 3, 3, 3), np.float32),
+                                    padding=10**6, compress=False)])
+    with pytest.raises(ValueError,
+                       match=r"layer 'conv1': padded input \(3, 2000008, 2000008\)"):
+        evaluate(model, make_blob_dataset(4, seed=0))
+
+
+def test_evaluate_rejects_a_batch_size_below_1():
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        evaluate(build_toy_cnn(0), make_blob_dataset(4, seed=3), batch_size=0)
+
+
 # ---------------------------------------------------------------- trainer
 
 def test_zero_learning_rate_is_noop():
