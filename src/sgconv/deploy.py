@@ -69,13 +69,13 @@ def count_params(model: Model) -> int:
     return sum(layer.params() for layer in model.layers)
 
 
-def _layer_macs(model: Model, input_shape):
-    """Per-sample multiply-adds of each layer, walking the sample shape through
-    the model; a layer that cannot take its input raises ValueError by name."""
+def _layer_inputs(model: Model, input_shape):
+    """Each layer with its per-sample input shape, walking the sample shape
+    through the model; a layer that cannot take its input raises ValueError by name."""
     shape = tuple(int(v) for v in input_shape)
     for layer in model.layers:
         out_shape = layer.out_shape(shape)
-        yield layer.macs(shape)
+        yield layer, shape
         shape = out_shape
 
 
@@ -86,10 +86,10 @@ def count_flops(model: Model, input_shape) -> int:
     the dense kernel cheaper); group-conv layers are billed per block at
     gathered-channel sizes. Bias adds are not counted.
     """
-    return 2 * sum(_layer_macs(model, input_shape))
+    return 2 * sum(layer.macs(shape) for layer, shape in _layer_inputs(model, input_shape))
 
 
-# Most multiply-adds any one layer may bill for a whole batch that the
+# Most multiply-adds any one layer may run for a whole batch that the
 # callers owning an input set (evaluate, the equivalence check) forward at
 # once. A dense conv's unfolded input holds at most its MACs / C_out
 # values, so at 2**27 MACs a 64-filter conv unfolds 8 MiB of float32 per
@@ -101,26 +101,31 @@ MAX_BATCH = 512
 
 def batch_size_for(model: Model, input_shape) -> int:
     """Largest batch, at most MAX_BATCH, for which no layer's per-sample
-    ``macs(input_shape)`` times the batch exceeds BATCH_MACS; 1 when a single
-    sample already does. Walks the shapes as count_flops does and raises the
-    same named errors."""
-    largest = max(_layer_macs(model, input_shape), default=0)
+    ``executed_macs(input_shape)`` times the batch exceeds BATCH_MACS; 1 when
+    a single sample already does. A group layer whose plan runs one dense
+    GEMM is sized by that GEMM, as its masked source is. Walks the shapes as
+    count_flops does and raises the same named errors."""
+    largest = max((layer.executed_macs(shape)
+                   for layer, shape in _layer_inputs(model, input_shape)), default=0)
     return max(1, min(MAX_BATCH, BATCH_MACS // max(largest, 1)))
 
 
 def infer_input_shape(model: Model, max_size: int = 64):
     """Smallest input shape the model accepts, flat before spatial; used
-    when no dataset is given."""
+    when no dataset is given. When none fits, the error carries the layer
+    error that stopped the walk at the largest size tried."""
     if not model.layers:
         raise ValueError("a model without layers has no input shape")
     c_in = model.layers[0].in_channels
     for shape in [(c_in,), *((c_in, size, size) for size in range(1, max_size + 1))]:
         try:
             count_flops(model, shape)
-        except ValueError:
+        except ValueError as exc:
+            error = exc
             continue
         return shape
-    raise ValueError(f"could not infer an input shape up to {max_size}x{max_size}")
+    raise ValueError(f"could not infer an input shape up to {max_size}x{max_size}: "
+                     f"at {shape}, {error}")
 
 
 def _random_inputs(input_shape, n_inputs, seed):

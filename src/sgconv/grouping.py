@@ -5,11 +5,11 @@ restarts. The quality figure of a grouping is the unsquared within-group
 distance sum (with group means as centroids), which is not quite what
 Lloyd minimizes; each restart is therefore polished by a deterministic
 single-point local search under the unsquared objective, and the best
-restart under that objective wins. The polish caches the cost of every
-candidate group with each point inserted or removed and recomputes only
-what a move changed, in stacked numpy calls that sum every group exactly
-as a lone cost call would, so its result does not depend on the caching.
-The squared Lloyd objective is kept alongside for diagnostics.
+restart under that objective wins. The polish bounds each move's gain by
+the convexity of a group's distance sum in its centroid and costs exactly
+only the moves the bound cannot rule out, each summed as a lone group
+would be, so its result is that of costing every move. The squared Lloyd
+objective is kept alongside for diagnostics.
 """
 from __future__ import annotations
 
@@ -102,9 +102,9 @@ def _lloyd(vectors, num_groups, rng, max_iter):
     return assignment, centroids, trace
 
 
-# Largest stacked gather (rows x members x channels) the polish builds in
-# one cost call, unless a single row is larger. Rows are independent, so
-# how they are split never changes a value.
+# Largest temporary the polish builds in one numpy call: a stacked gather
+# (rows x members x channels) unless a single row is larger, or point-to-
+# centroid differences (points x groups x channels) unless one point's are.
 CHUNK_ELEMENTS = 1 << 18
 
 
@@ -135,76 +135,76 @@ def _rows_with(own, points):
     return rows
 
 
+def _live_moves(vectors, assignment, members):
+    """(n, g) mask of the moves of each point into each group whose gain
+    bound reaches -1e-12 less a margin far above the rounding error of bound
+    and exact costs; False where no move is made (into the own group, or out
+    of a one-member group).
+
+    f_x(c) = sum_{j in x} |v_j - c| is convex with subgradient gamma_x =
+    -sum_{j in x} (v_j - c_x) / |v_j - c_x| (zero-length terms dropped) at the
+    group mean c_x. So taking v_i out of its group s of M members saves at most
+    (M |v_i - c_s| + gamma_s.(v_i - c_s)) / (M - 1), and adding it to a group d
+    of m costs at least (m |v_i - c_d| + gamma_d.(v_i - c_d)) / (m + 1)."""
+    sizes = np.array([len(own) for own in members])
+    onehot = (assignment == np.arange(len(members))[:, None]).astype(np.float64)
+    centroids = onehot @ vectors / sizes[:, None]
+    own = vectors - centroids[assignment]
+    length = np.sqrt(np.einsum("ij,ij->i", own, own))
+    gamma = -(onehot @ (own / np.where(length > 0, length, 1.0)[:, None]))
+    dist, proj = np.empty((2, len(vectors), len(members)))
+    step = max(1, CHUNK_ELEMENTS // centroids.size)
+    for lo in range(0, len(vectors), step):
+        diff = vectors[lo:lo + step, None, :] - centroids  # (step, g, C)
+        dist[lo:lo + step] = np.sqrt(np.einsum("igc,igc->ig", diff, diff))
+        proj[lo:lo + step] = np.einsum("igc,gc->ig", diff, gamma)
+    points, m = np.arange(len(vectors)), sizes[assignment]
+    saved = (m * length + proj[points, assignment]) / np.maximum(m - 1, 1)
+    bounds = saved[:, None] - (sizes * dist + proj) / (sizes + 1)
+    live = bounds >= -1e-12 - 1e-9 * (np.abs(vectors).sum() + 1.0)
+    live[points, assignment] = live[m == 1] = False
+    return live
+
+
+def _first_move(vectors, assignment, members, costs, start):
+    """The first point from ``start`` on whose best exact gain exceeds -1e-12,
+    as (point, group, its group's cost without it, that group's with it), or
+    None. Only live moves are costed, one stacked row each."""
+    live = _live_moves(vectors, assignment, members)
+    for idx in np.flatnonzero(live[start:].any(axis=1)) + start:
+        dsts, src = np.flatnonzero(live[idx]), assignment[idx]
+        rem = _stacked_costs(vectors, _rows_without(members[src], [idx]))[0]
+        add = np.array([_stacked_costs(vectors, _rows_with(members[d], [idx]))[0] for d in dsts])
+        gains = (costs[src] + costs[dsts]) - (rem + add)
+        best = gains.argmax()
+        if gains[best] > -1e-12:
+            return idx, dsts[best], rem, add[best]
+    return None
+
+
 def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     """Greedy single-point moves that lower the unsquared objective.
 
-    Lloyd converges to local optima of the squared objective; the two
-    objectives rank partitions differently often enough to matter, so a
-    deterministic polish under the reported metric follows every
-    restart. Points are visited in index order and each moves at once to
-    the first group of largest gain, if that gain exceeds -1e-12. Moves
-    that would empty a group are skipped.
-
-    Candidate costs are cached: ``add[d, i]`` is the cost of group d with
-    point i inserted, ``rem[i]`` the cost of i's group without i. An
-    entry stays valid until a move changes the group it was computed
-    from. A stale entry is recomputed when its point is visited, together
-    with those of the points visited next, up to CHUNK_ELEMENTS values in
-    one stacked call. A pass without moves costs one length-g expression
-    per point.
+    Points are visited in index order and each moves at once to the first
+    group of largest gain, if that gain exceeds -1e-12. Moves that would
+    empty a group are skipped. Only live moves (_live_moves) are costed:
+    the others gain less than -1e-12, so the scan would not make them.
     """
     assignment = assignment.copy()
-    n, width = vectors.shape
-    if num_groups == 1 or num_groups >= n:
+    if num_groups == 1 or num_groups >= len(vectors):
         return assignment  # no other group, or all singletons: no legal move
     members = [np.flatnonzero(assignment == d) for d in range(num_groups)]
     costs = np.array([_stacked_costs(vectors, own[None])[0] for own in members])
-    # An entry records its group's stamp when computed; a move gives both
-    # of its groups a new tick. ``checked`` holds the tick at which all of
-    # a point's entries were last known valid.
-    stamp = np.zeros(num_groups, dtype=np.int64)
-    add, add_at = np.zeros((num_groups, n)), np.full((num_groups, n), -1)
-    rem, rem_at = np.zeros(n), np.full(n, -1)
-    tick = 0
-    checked = [-1] * n
-    cyclic = np.arange(2 * n) % n
-
-    def upcoming(idx, gid, inside, row_len):
-        order = cyclic[idx:idx + n]  # idx first, then visiting order
-        picked = order[(assignment[order] == gid) == inside]
-        return picked[:max(1, CHUNK_ELEMENTS // max(1, row_len * width))]
-
     for _ in range(max_passes):
-        improved = False
-        for idx in range(n):
-            src = int(assignment[idx])
-            own = members[src]
-            if len(own) == 1:
-                continue
-            if checked[idx] != tick:
-                if rem_at[idx] != stamp[src]:
-                    points = upcoming(idx, src, True, len(own) - 1)
-                    rem[points] = _stacked_costs(vectors, _rows_without(own, points))
-                    rem_at[points] = stamp[src]
-                for d in np.flatnonzero(add_at[:, idx] != stamp):
-                    if d != src:
-                        points = upcoming(idx, d, False, len(members[d]) + 1)
-                        add[d, points] = _stacked_costs(vectors, _rows_with(members[d], points))
-                        add_at[d, points] = stamp[d]
-                checked[idx] = tick
-            gains = (costs[src] + costs) - (rem[idx] + add[:, idx])
-            gains[src] = -np.inf
-            dst = int(gains.argmax())
-            if gains[dst] > -1e-12:
-                assignment[idx] = dst
-                costs[src], costs[dst] = rem[idx], add[dst, idx]
-                members[src] = own[own != idx]
-                members[dst] = np.insert(members[dst],
-                                         np.searchsorted(members[dst], idx), idx)
-                tick += 1
-                stamp[src] = stamp[dst] = tick
-                improved = True
-        if not improved:
+        start = 0
+        while move := _first_move(vectors, assignment, members, costs, start):
+            idx, dst, costs_src, costs_dst = move
+            src, assignment[idx] = assignment[idx], dst
+            costs[src], costs[dst] = costs_src, costs_dst
+            members[src] = members[src][members[src] != idx]
+            members[dst] = np.insert(members[dst], np.searchsorted(members[dst], idx), idx)
+            start = idx + 1
+        if start == 0:  # a pass without moves
             break
     return assignment
 

@@ -8,6 +8,8 @@ takes it out of the dict again, so it lives no longer than the step),
 ``backward(x, dz, saved=None, need_dx=True)`` -> (dx, or None without
 need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``,
 ``macs(shape)`` per sample, and ``params()``. Each kind also carries
+``executed_macs(shape)`` (what its kernel runs per sample: macs(shape)
+except for a group layer that runs one dense GEMM),
 ``compress`` (whether pruning and deployment rewrite it), ``ratio_kind``
 (the kind whose removal ratio counts its connections, or None) and
 ``describe(shape)`` (its ``sgconv report`` entry). The file format stays
@@ -125,6 +127,8 @@ class _MaskedLayer:
     def macs(self, shape):
         return self.weight.size * math.prod(self.out_shape(shape)[1:])
 
+    executed_macs = macs  # masks do not make the dense kernel cheaper
+
     def params(self):  # a dead connection drops its whole k x k kernel
         return int(self.mask.sum()) * self.kernel ** 2 + _bias_size(self.bias)
 
@@ -232,6 +236,9 @@ class GroupConvLayer:
     def macs(self, shape):
         return self.plan.block_macs * math.prod(self.out_shape(shape)[1:])
 
+    def executed_macs(self, shape):
+        return self.plan.executed_macs * math.prod(self.out_shape(shape)[1:])
+
     def params(self):
         return sum(g.weight.size for g in self.groups) + _bias_size(self.bias)
 
@@ -260,7 +267,6 @@ class GroupConvLayer:
         block layout it chose from, and the FLOPs executed next to those billed
         by macs() (they differ when the dense GEMM runs)."""
         plan, taps = self.plan, self.kernel ** 2
-        positions = math.prod(self.out_shape(shape)[1:])
         filters = [len(g.filter_indices) for g in self.groups]
         return {
             "groups": len(self.groups),
@@ -269,7 +275,7 @@ class GroupConvLayer:
             "union_fraction": len(plan.union) / max(self.in_channels, 1),
             "gathered_rows_ratio": plan.gathered_rows / max(len(plan.union) * taps, 1),
             "flops_billed": 2 * self.macs(shape),
-            "flops_executed": 2 * plan.executed_macs * positions,
+            "flops_executed": 2 * self.executed_macs(shape),
         }
 
 
@@ -307,6 +313,8 @@ class AffineLayer:
 
     def macs(self, shape):
         return int(np.prod(shape))
+
+    executed_macs = macs
 
     def params(self):
         return self.scale.size + self.shift.size

@@ -200,7 +200,7 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int | None = None) -> d
 
     Argmax ties resolve to the lowest class index. The dataset is forwarded
     ``batch_size`` samples at a time; None sizes the batches by
-    ``batch_size_for``: the largest, at most 512, for which no layer bills
+    ``batch_size_for``: the largest, at most 512, for which no layer runs
     more than ``deploy.BATCH_MACS`` multiply-adds per batch. Conv and affine
     outputs do not depend on the batch size, fc logits only in their last
     bits.

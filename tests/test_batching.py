@@ -1,7 +1,7 @@
 """Batch sizing for whole-input-set forwards: evaluate and the equivalence check.
 
 ``deploy.batch_size_for`` picks the largest batch, at most 512, for which
-no layer bills more than ``deploy.BATCH_MACS`` multiply-adds. These
+no layer runs more than ``deploy.BATCH_MACS`` multiply-adds. These
 properties draw random conv/affine/fc chains (pruned in groups and
 deployed) and datasets, and check that the split changes no accuracy and
 no conv or affine output bit.
@@ -59,7 +59,7 @@ def random_net(rng, num_classes):
 def largest_layer_macs(model, shape):
     largest = 0
     for layer in model.layers:
-        largest = max(largest, layer.macs(shape))
+        largest = max(largest, layer.executed_macs(shape))
         shape = layer.out_shape(shape)
     return largest
 
@@ -94,12 +94,13 @@ def test_split_changes_no_accuracy_and_no_conv_or_affine_bit(seed, count, num_cl
 def test_batch_is_the_largest_within_the_mac_budget(seed, batch_macs):
     rng = np.random.default_rng(seed)
     model, shape = random_net(rng, int(rng.integers(2, 9)))
-    largest = largest_layer_macs(model, shape)
-    with mock.patch.object(deploy, "BATCH_MACS", batch_macs):
-        b = batch_size_for(model, shape)
-    assert 1 <= b <= deploy.MAX_BATCH == 512
-    assert b == 1 or b * largest <= batch_macs
-    assert b == deploy.MAX_BATCH or (b + 1) * largest > batch_macs
+    for net in (model, convert_model(model)):
+        largest = largest_layer_macs(net, shape)
+        with mock.patch.object(deploy, "BATCH_MACS", batch_macs):
+            b = batch_size_for(net, shape)
+        assert 1 <= b <= deploy.MAX_BATCH == 512
+        assert b == 1 or b * largest <= batch_macs
+        assert b == deploy.MAX_BATCH or (b + 1) * largest > batch_macs
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -125,3 +126,20 @@ def test_wide_convs_get_mac_bounded_batches():
         conv = ConvLayer("conv", np.zeros((64, 64, 3, 3), np.float32), padding=1)
         assert batch_size_for(Model([conv]), (64, size, size)) == batch
         assert batch * 64 * 9 * size * size * 4 <= 8 * 2 ** 20
+
+
+def test_dense_run_group_layer_is_sized_like_its_masked_source():
+    """64 one-filter groups each keeping half of 64 channels run one dense
+    GEMM, so the deployed layer gets the masked conv's batch (3 on 32x32),
+    although it bills half the MACs."""
+    rng = np.random.default_rng(0)
+    conv = ConvLayer("conv", rng.standard_normal((64, 64, 3, 3)).astype(np.float32),
+                     padding=1)
+    conv.grouping = np.arange(64)
+    conv.mask = rng.permutation(np.tile([True, False], 32 * 64).reshape(64, 64), axis=1)
+    apply_mask(conv)
+    masked, shape = Model([conv]), (64, 32, 32)
+    deployed = convert_model(masked)
+    assert deployed.layers[0].plan.executor == "dense"
+    assert deploy.count_flops(deployed, shape) * 2 == deploy.count_flops(masked, shape)
+    assert batch_size_for(deployed, shape) == batch_size_for(masked, shape) == 3

@@ -148,7 +148,8 @@ def test_eval_of_a_last_conv_padded_past_the_cap_exits_2_naming_it(workspace, ca
     assert "layer 'conv1': padded input (3, 2000008, 2000008)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["report --input-shape 3,8,8", "eval --data {}/test.sgd"])
+@pytest.mark.parametrize("command", ["report --input-shape 3,8,8", "eval --data {}/test.sgd",
+                                     "report"])  # no shape given: the guessed shapes all fail
 def test_affine_narrower_than_its_input_exits_2_naming_the_layer(workspace, capsys, command):
     ones = np.ones(1, np.float32)  # one channel after a 4-channel conv
     model = Model([ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False),

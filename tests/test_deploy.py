@@ -15,7 +15,7 @@ from sgconv.deploy import (GranularityError, convert_layer,
                            infer_input_shape, max_forward_deviation,
                            verify_equivalence, EquivalenceError)
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import (ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
+from sgconv.model import (AffineLayer, ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
                           build_toy_cnn)
 from sgconv.pruning import model_ratios
 
@@ -293,6 +293,12 @@ def test_infer_input_shape(toy_model):
     assert infer_input_shape(fc_model) == (17,)
     with pytest.raises(ValueError, match="without layers"):
         infer_input_shape(Model(layers=[]))
+    ones = np.ones(1, np.float32)  # one channel after a 4-channel conv
+    narrow = Model([ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False),
+                    AffineLayer("bn", ones, ones)])
+    with pytest.raises(ValueError, match=r"up to 64x64: at \(3, 64, 64\), "
+                                         r"layer 'bn' expects 1 channels, got 4"):
+        infer_input_shape(narrow)
 
 
 def test_random_models_deploy_equivalent(rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sgconv import grouping
 from sgconv.grouping import (Grouping, centroids_for, grouping_objective,
                              kmeans_cluster)
+from sgconv.importance import importance_conv
 
 
 # ---------------------------------------------------------------- oracles
@@ -309,3 +310,86 @@ def test_kmeans_with_cached_polish_matches_reference(case):
     assert result.objective == reference.objective
     assert result.sq_objective == reference.sq_objective
     assert result.iteration_objectives == reference.iteration_objectives
+
+
+# ---------------------------------------------------------------- move bound
+
+def move_gain_reference(vectors, assignment, idx, dst):
+    """Exact gain of moving point idx into group dst, as the reference polish costs it."""
+    src = assignment[idx]
+    moved = assignment.copy()
+    moved[idx] = dst
+    return ((group_cost_reference(vectors, assignment, src)
+             + group_cost_reference(vectors, assignment, dst))
+            - (group_cost_reference(vectors, moved, src)
+               + group_cost_reference(vectors, moved, dst)))
+
+
+def live_moves(vectors, assignment, num_groups):
+    members = [np.flatnonzero(assignment == d) for d in range(num_groups)]
+    return grouping._live_moves(vectors, assignment, members)
+
+
+@settings(max_examples=100)
+@given(polish_cases(), st.sampled_from([1.0, 1e3, 3.7e6]))
+def test_bound_rules_out_only_moves_the_scan_would_not_make(case, scale):
+    vectors, assignment, num_groups, chunk = case
+    vectors = vectors * scale
+    num_groups = min(num_groups, len(vectors))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouping, "CHUNK_ELEMENTS", chunk)
+        live = live_moves(vectors, assignment, num_groups)
+    sizes = np.bincount(assignment, minlength=num_groups)
+    legal = sizes[assignment][:, None] > 1
+    legal = legal & (np.arange(num_groups) != assignment[:, None])
+    assert not (live & ~legal).any()  # never into the own group or out of a singleton
+    for idx, dst in zip(*np.nonzero(legal & ~live)):
+        assert move_gain_reference(vectors, assignment, idx, dst) < -1e-12
+
+
+@settings(max_examples=50)
+@given(st.floats(1e3, 1e9))
+def test_bound_keeps_a_zero_gain_move_at_any_scale(scale):
+    # On a line, moving 9 from {9, 11} into {0, 12} gains exactly 0, and the
+    # convexity bound is tight there: only the margin keeps rounding in the
+    # bound from ruling out a move the reference may make.
+    vectors = np.array([[9.0], [11.0], [0.0], [12.0]]) * scale
+    start = np.array([0, 0, 1, 1])
+    assert live_moves(vectors, start, 2)[0, 1]
+    np.testing.assert_array_equal(grouping._refine_unsquared(vectors, start, 2),
+                                  refine_unsquared_reference(vectors, start, 2))
+
+
+def planted_importance(seed, channels=64, groups=8, keep=0.15, weak=0.05):
+    """Importance of a conv whose filters fall into planted groups, each with
+    strong weights on its own ``keep`` share of input channels."""
+    rng = np.random.default_rng(seed)
+    member = rng.permutation(channels) % groups
+    strong = np.zeros((groups, channels), dtype=bool)
+    for g in range(groups):
+        strong[g, rng.choice(channels, round(channels * keep), replace=False)] = True
+    weight = rng.standard_normal((channels, channels, 3, 3))
+    weight *= np.where(strong[member], 1.0, weak)[:, :, None, None]
+    return importance_conv(weight, np.ones((channels, channels), dtype=bool))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bound_rules_out_most_moves_on_planted_groups(seed, monkeypatch):
+    vectors = planted_importance(seed)
+    live_count, legal_count = [], []
+    live_moves_of = grouping._live_moves
+
+    def counted(vectors, assignment, members):
+        live = live_moves_of(vectors, assignment, members)
+        sizes = np.array([len(own) for own in members])
+        live_count.append(int(live.sum()))
+        legal_count.append(int((sizes[assignment] > 1).sum()) * (len(members) - 1))
+        return live
+
+    monkeypatch.setattr(grouping, "_live_moves", counted)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):  # the starts kmeans_cluster polishes
+        start, _, _ = grouping._lloyd(vectors, 8, rng, 300)
+        np.testing.assert_array_equal(grouping._refine_unsquared(vectors, start, 8),
+                                      refine_unsquared_reference(vectors, start, 8))
+    assert sum(live_count) <= 0.1 * sum(legal_count)

@@ -1,9 +1,13 @@
 """Manifest/blob persistence and the .sgd dataset format."""
+import contextlib
 import json
 import struct
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgconv.cli import main
 from sgconv.data import MAGIC, load_dataset, make_blob_dataset, save_dataset
@@ -403,6 +407,51 @@ def test_dataset_truncation_and_magic(tmp_path):
         with pytest.raises(ValueError, match="header"):
             load_dataset(path)
         assert main(["eval", "--model", str(model_prefix), "--data", str(path)]) == 2
+
+
+def eval_exit(workdir, data_bytes):
+    """Exit code and stderr of ``sgconv eval`` of the toy net in ``workdir`` on a
+    dataset file holding ``data_bytes``."""
+    (workdir / "d.sgd").write_bytes(data_bytes)
+    err = StringIO()
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["eval", "--model", str(workdir / "toy"),
+                         "--data", str(workdir / "d.sgd")])
+        except Exception as exc:  # an escaping exception fails like a bad exit code
+            code = repr(exc)[:80]
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def sgd_workdir(tmp_path_factory):
+    """The toy net and a one-sample dataset (800 bytes, 28 of them header)."""
+    workdir = tmp_path_factory.mktemp("sgd")
+    save_model(build_toy_cnn(0), *sgm_paths(workdir / "toy"))
+    save_dataset(make_blob_dataset(1, seed=3), workdir / "base.sgd")
+    return workdir
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_flipped_dataset_bytes_exit_0_or_2(sgd_workdir, data):
+    raw = bytearray((sgd_workdir / "base.sgd").read_bytes())
+    fields = (4, 16 + 4 * 3 - 1)  # count, num_classes, ndim and dims: after the magic
+    positions = data.draw(st.one_of(
+        st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=1),
+        st.lists(st.integers(*fields), min_size=2, max_size=8, unique=True)))
+    for pos in positions:
+        raw[pos] ^= data.draw(st.integers(1, 255))
+    code, err = eval_exit(sgd_workdir, bytes(raw))
+    assert code == 0 or (code == 2 and "error:" in err), (positions, code, err)
+
+
+def test_truncated_dataset_exits_2_at_every_length(sgd_workdir):
+    raw = (sgd_workdir / "base.sgd").read_bytes()
+    assert len(raw) == 800
+    for length in range(len(raw)):
+        code, err = eval_exit(sgd_workdir, raw[:length])
+        assert code == 2 and "error:" in err, (length, code, err)
 
 
 def test_blob_generator_properties():
