@@ -9,19 +9,33 @@ from sgconv import ops
 
 rng = np.random.default_rng(0)
 
-# -- a tiny convolution, checked against explicit loops ---------------------
-x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
-w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-out = ops.conv2d_forward(x, w)
-print(f"conv2d: input {x.shape} * weights {w.shape} -> output {out.shape}")
+# -- two small convolutions, checked against explicit loops ----------------
+# ops._im2col unfolds output rows of at most UNFOLD_GATHER_WIDTH values by one
+# gather through a cached index, and wider rows by k*k strided copies from a
+# zero-padded copy: one narrow unpadded case and one wide padded case.
+def naive_conv(x, w, padding):
+    xp = np.zeros((x.shape[1], x.shape[2] + 2 * padding, x.shape[3] + 2 * padding),
+                  dtype=x.dtype)
+    xp[:, padding:padding + x.shape[2], padding:padding + x.shape[3]] = x[0]
+    k = w.shape[2]
+    out = np.zeros((1, w.shape[0], xp.shape[1] - k + 1, xp.shape[2] - k + 1), dtype=x.dtype)
+    for f in range(w.shape[0]):
+        for i in range(out.shape[2]):
+            for j in range(out.shape[3]):
+                out[0, f, i, j] = (xp[:, i:i + k, j:j + k] * w[f]).sum()
+    return out
 
-naive = np.zeros_like(out)
-for f in range(3):
-    for i in range(3):
-        for j in range(3):
-            patch = x[0, :, i:i + 3, j:j + 3]
-            naive[0, f, i, j] = (patch * w[f]).sum()
-print(f"  max |im2col - naive loop| = {np.abs(out - naive).max():.2e}")
+
+w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+for size, padding in ((5, 0), (12, 1)):
+    x = rng.standard_normal((1, 2, size, size)).astype(np.float32)
+    out = ops.conv2d_forward(x, w, padding=padding)
+    path = "gather" if out.shape[3] <= ops.UNFOLD_GATHER_WIDTH else "tap copies"
+    print(f"conv2d: input {x.shape} * weights {w.shape}, padding {padding} -> "
+          f"output {out.shape} (unfold: {path})")
+    deviation = np.abs(out - naive_conv(x, w, padding)).max()
+    print(f"  max |im2col - naive loop| = {deviation:.2e}")
+    assert deviation < 1e-4  # float32 rounding only
 
 # -- fully connected is the same algebra with k = 1 -------------------------
 xf = rng.standard_normal((4, 6)).astype(np.float32)

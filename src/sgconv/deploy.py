@@ -128,16 +128,14 @@ def infer_input_shape(model: Model, max_size: int = 64):
                      f"at {shape}, {error}")
 
 
-def _random_inputs(input_shape, n_inputs, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_inputs, *input_shape)).astype(np.float32)
-
-
 def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
-    """The random inputs in batches that neither model's batch_size_for exceeds."""
-    x = _random_inputs(input_shape, n_inputs, seed)
+    """Standard-normal float32 inputs in batches that neither model's
+    batch_size_for exceeds, each drawn as it is used from one generator:
+    the same values as one draw of all the inputs, without holding them."""
     step = min(batch_size_for(model_a, input_shape), batch_size_for(model_b, input_shape))
-    return [x[lo:lo + step] for lo in range(0, n_inputs, step)]
+    rng = np.random.default_rng(seed)
+    for lo in range(0, n_inputs, step):
+        yield rng.standard_normal((min(step, n_inputs - lo), *input_shape)).astype(np.float32)
 
 
 def max_forward_deviation(model_a: Model, model_b: Model, input_shape,

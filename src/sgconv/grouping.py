@@ -1,15 +1,16 @@
 """Filter grouping by k-means over importance vectors.
 
 Lloyd iterations with k-means++ seeding and a fixed number of seeded
-restarts. The quality figure of a grouping is the unsquared within-group
-distance sum (with group means as centroids), which is not quite what
-Lloyd minimizes; each restart is therefore polished by a deterministic
-single-point local search under the unsquared objective, and the best
-restart under that objective wins. The polish bounds each move's gain by
-the convexity of a group's distance sum in its centroid and costs exactly
-only the moves the bound cannot rule out, each summed as a lone group
-would be, so its result is that of costing every move. The squared Lloyd
-objective is kept alongside for diagnostics.
+restarts, cut short by a restart whose objective is 0. The quality figure
+of a grouping is the unsquared within-group distance sum (with group
+means as centroids), which is not quite what Lloyd minimizes; each
+restart is therefore polished by a deterministic single-point local
+search under the unsquared objective, and the best restart under that
+objective wins. The polish bounds each move's gain by the convexity of a
+group's distance sum in its centroid and costs exactly only the moves the
+bound cannot rule out, each summed as a lone group would be, so its
+result is that of costing every move; it stops once a pass repeats. The
+squared Lloyd objective is kept alongside for diagnostics.
 """
 from __future__ import annotations
 
@@ -189,13 +190,26 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     group of largest gain, if that gain exceeds -1e-12. Moves that would
     empty a group are skipped. Only live moves (_live_moves) are costed:
     the others gain less than -1e-12, so the scan would not make them.
+
+    A pass depends only on the assignment it starts from, since each
+    group's cost is that member set's lone-group cost. So once a pass
+    starts from an earlier pass's assignment the passes repeat with that
+    period (1 after a pass without moves), and the assignment that
+    ``max_passes`` passes end on is read off the ones recorded.
     """
     assignment = assignment.copy()
     if num_groups == 1 or num_groups >= len(vectors):
         return assignment  # no other group, or all singletons: no legal move
     members = [np.flatnonzero(assignment == d) for d in range(num_groups)]
     costs = np.array([_stacked_costs(vectors, own[None])[0] for own in members])
-    for _ in range(max_passes):
+    starts, first_pass = [], {}  # start assignment of each pass; pass of each start
+    for done in range(max_passes):
+        key = assignment.tobytes()
+        if key in first_pass:
+            first = first_pass[key]
+            return starts[first + (max_passes - first) % (done - first)]
+        first_pass[key] = done
+        starts.append(assignment.copy())
         start = 0
         while move := _first_move(vectors, assignment, members, costs, start):
             idx, dst, costs_src, costs_dst = move
@@ -204,8 +218,6 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
             members[src] = members[src][members[src] != idx]
             members[dst] = np.insert(members[dst], np.searchsorted(members[dst], idx), idx)
             start = idx + 1
-        if start == 0:  # a pass without moves
-            break
     return assignment
 
 
@@ -215,7 +227,8 @@ def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *,
 
     Deterministic for a given (vectors, num_groups, seed). num_groups is
     clamped to the number of vectors; fewer than one group, restart or
-    Lloyd iteration is an error, and so is a NaN or infinite entry.
+    Lloyd iteration is an error, and so is a NaN or infinite entry. The
+    restarts stop at one whose objective is exactly 0, which none can beat.
     """
     if num_groups < 1:
         raise ValueError(f"num_groups must be >= 1, got {num_groups}")
@@ -237,6 +250,8 @@ def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *,
                                   .sum(axis=1)).sum())
         if best is None or objective < best[0]:
             best = (objective, assignment, centroids, trace)
+        if objective == 0.0:  # no later restart can be strictly lower
+            break
     objective, assignment, centroids, trace = best
     return Grouping(assignment=assignment, centroids=centroids,
                     objective=objective,

@@ -6,12 +6,16 @@ layout and the executor its forward runs on, the grouped blocks or one
 dense conv2d/fc call on the zero-filled weight rebuilt from them,
 whichever a fixed cost model bills less. Model code feeds float32; the
 kernels preserve whatever dtype they receive so tests can run float64
-finite differences through the same code path. conv2d's input gradient,
-which only fine-tuning computes, is laid out tap-major so that it runs as
-one GEMM and k*k long contiguous adds, bit-identical to a per-sample GEMM
-and col2im scatter.
+finite differences through the same code path. A conv unfolds its input
+by one of two copies with the same bytes: narrow output rows by one gather
+through a cached flat index, wider ones by k*k strided tap copies from a
+zero-padded copy. conv2d's input gradient, which only fine-tuning
+computes, is laid out tap-major so that it runs as one GEMM and k*k long
+contiguous adds, bit-identical to a per-sample GEMM and col2im scatter.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,13 +43,60 @@ def activation_backward(dout: np.ndarray, pre_act: np.ndarray, activation: str) 
     raise ValueError(f"unknown activation {activation!r}")
 
 
+# Widest output row (Wo values) that _im2col unfolds by one gather through a
+# cached flat index; wider rows take k*k strided tap copies. A tap copy's
+# innermost contiguous run is one output row, so on narrow rows numpy's
+# per-row overhead sets its cost, while the gather's cost is per value.
+# Timed over 84 shapes (batch 1 and 32, 3-64 channels, 3x3 kernel, stride 1
+# and 2; 2-vCPU VM, best of 5), the gather took 0.28-0.89x the copies' time
+# on rows of 2-6 values, 0.39-1.42x on rows of 8 and 0.48-4.26x on rows of
+# 14-34, where it lost on 28 of 36 shapes.
+UNFOLD_GATHER_WIDTH = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _unfold_index(c, h, w, kernel, stride, padding):
+    """Read-only (C*k*k, Ho*Wo) flat indices of _im2col's columns into a
+    sample's planes, each H*W pixels followed, when padded, by one +0.0
+    slot that every padding position points at."""
+    ho = conv_out_size(h, kernel, stride, padding)
+    wo = conv_out_size(w, kernel, stride, padding)
+    taps = np.arange(kernel)[:, None]
+    rows = np.arange(ho) * stride + taps - padding  # (k, Ho) input row per tap
+    cols = np.arange(wo) * stride + taps - padding  # (k, Wo) input column per tap
+    inside = (((rows >= 0) & (rows < h))[:, None, :, None]
+              & ((cols >= 0) & (cols < w))[None, :, None, :])
+    pixel = np.where(inside, rows[:, None, :, None] * w + cols[None, :, None, :], h * w)
+    plane = h * w + (padding > 0)
+    index = (np.arange(c)[:, None, None, None, None] * plane + pixel).reshape(
+        c * kernel * kernel, ho * wo)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x, kernel, stride, padding):
-    """Unfold (N,C,H,W) into (N, C*k*k, Ho*Wo) patch columns."""
+    """Unfold (N,C,H,W) into C-contiguous (N, C*k*k, Ho*Wo) patch columns.
+
+    Rows of at most UNFOLD_GATHER_WIDTH values are one np.take through
+    _unfold_index; wider ones are k*k strided copies from a zero-padded
+    copy of x. Both are pure copies, so their bytes are the same.
+    """
     n, c, h, w = x.shape
     ho = conv_out_size(h, kernel, stride, padding)
     wo = conv_out_size(w, kernel, stride, padding)
+    if wo <= UNFOLD_GATHER_WIDTH:
+        if padding > 0:
+            flat = np.empty((n, c, h * w + 1), dtype=x.dtype)
+            flat[:, :, :-1].reshape(n, c, h, w)[...] = x  # a view: splits the last axis
+            flat[:, :, -1] = 0
+        else:
+            flat = x.reshape(n, c, h * w)
+        index = _unfold_index(c, h, w, kernel, stride, padding)
+        return np.take(flat.reshape(n, c * flat.shape[2]), index, axis=1)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
     cols = np.empty((n, c, kernel, kernel, ho, wo), dtype=x.dtype)
     for i in range(kernel):
         for j in range(kernel):

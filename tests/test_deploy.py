@@ -225,12 +225,13 @@ def test_many_batch_check_fails_on_a_nan_in_one_middle_batch(monkeypatch):
     model = build_toy_cnn(6)
     toy_in_batches_of_7(monkeypatch, model)
 
-    def one_nan_input(*args, _real=deploy._random_inputs):
-        x = _real(*args)
-        x[50, 0, 0, 0] = np.nan  # batch 8 of 15
-        return x
+    def one_nan_input(*args, _real=deploy._batches):
+        for i, x in enumerate(_real(*args)):
+            if i == 7:
+                x[1, 0, 0, 0] = np.nan  # input 50, in batch 8 of 15
+            yield x
 
-    monkeypatch.setattr(deploy, "_random_inputs", one_nan_input)
+    monkeypatch.setattr(deploy, "_batches", one_nan_input)
     with pytest.raises(EquivalenceError,
                        match=r"deviation nan .*first layer over tolerance: 'conv1' \(nan\)"):
         verify_equivalence(model, convert_model(model), (3, 8, 8), seed=0)
@@ -246,6 +247,39 @@ def test_many_batch_deviation_of_a_conv_net_equals_the_whole_batch_one(monkeypat
     assert deploy.batch_size_for(model, (3, 8, 8)) == 7
     assert max_forward_deviation(model, deployed, (3, 8, 8), n_inputs=100, seed=4) == whole
     assert whole > 0
+
+
+@settings(max_examples=60)
+@given(count=st.integers(1, 300), step=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_batched_inputs_are_the_bytes_of_one_draw(count, step, seed):
+    model = build_toy_cnn(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deploy, "batch_size_for", lambda *args: step)
+        batches = list(deploy._batches(model, model, (3, 4, 4), count, seed))
+    assert [len(x) for x in batches] == [min(step, count - lo) for lo in range(0, count, step)]
+    whole = np.random.default_rng(seed).standard_normal((count, 3, 4, 4)).astype(np.float32)
+    assert np.concatenate(batches).tobytes() == whole.tobytes()
+
+
+def test_huge_check_draws_its_inputs_batch_by_batch(monkeypatch):
+    """10**9 inputs of the toy net would take 1.4 TiB at once; drawn batch by
+    batch, the check gets as far as the model forward of its third batch."""
+    class Third(Exception):
+        pass
+
+    model = build_toy_cnn(6)
+    calls, forward = [], Model.forward
+
+    def forward_until_third(self, x):
+        calls.append(len(x))
+        if len(calls) == 5:  # the original and deployed models take turns
+            raise Third
+        return forward(self, x)
+
+    monkeypatch.setattr(Model, "forward", forward_until_third)
+    with pytest.raises(Third):
+        verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=10**9)
+    assert calls == [512] * 5
 
 
 # ---------------------------------------------------------------- accounting

@@ -77,6 +77,47 @@ def test_identical_vectors():
     np.testing.assert_allclose(grouping.centroids, 1.0)
 
 
+def counted_lloyd(monkeypatch):
+    """The number of Lloyd starts kmeans_cluster runs, as a one-item list."""
+    starts, lloyd = [0], grouping._lloyd
+
+    def counted(*args):
+        starts[0] += 1
+        return lloyd(*args)
+
+    monkeypatch.setattr(grouping, "_lloyd", counted)
+    return starts
+
+
+def assert_same_grouping(a, b):
+    np.testing.assert_array_equal(a.assignment, b.assignment)
+    np.testing.assert_array_equal(a.centroids, b.centroids)
+    assert (a.objective, a.sq_objective, a.iteration_objectives) == \
+        (b.objective, b.sq_objective, b.iteration_objectives)
+
+
+@pytest.mark.parametrize("style", ["distinct", "duplicates"])
+def test_restarts_stop_at_objective_zero(rng, monkeypatch, style):
+    """All-singleton groups, or groups of identical vectors, have objective
+    0: no later restart can beat the first, so only one runs. (Integer
+    entries, so that the mean of three copies is the vector itself.)"""
+    if style == "distinct":
+        vectors, num_groups = rng.standard_normal((9, 4)), 9
+    else:
+        rows = rng.integers(0, 10, (3, 4)).astype(np.float64)
+        vectors, num_groups = rows[[0, 1, 2, 1, 0, 2, 2, 1, 0]], 3
+    starts = counted_lloyd(monkeypatch)
+    many = kmeans_cluster(vectors, num_groups, seed=5, restarts=8)
+    assert starts == [1] and many.objective == 0.0
+    assert_same_grouping(many, kmeans_cluster(vectors, num_groups, seed=5, restarts=1))
+
+
+def test_restarts_run_on_while_the_objective_is_positive(rng, monkeypatch):
+    starts = counted_lloyd(monkeypatch)
+    kmeans_cluster(rng.standard_normal((9, 4)), 3, seed=5, restarts=8)
+    assert starts == [8]
+
+
 def test_group_count_clamped_and_validated(rng):
     vectors = rng.standard_normal((3, 2))
     grouping = kmeans_cluster(vectors, 10, seed=0)
@@ -232,7 +273,8 @@ def refine_unsquared_reference(vectors, assignment, num_groups, max_passes=30):
 
 
 @st.composite
-def polish_cases(draw):
+def polish_cases(draw, styles=("normal", "rounded", "zero-columns", "tied-columns",
+                                "duplicates", "constant")):
     """Importance-like vectors, a start assignment using every group, a chunk size.
 
     Styles cover exact ties (rounded values, duplicate rows, all-equal
@@ -242,8 +284,7 @@ def polish_cases(draw):
     width = draw(st.integers(1, 70))
     num_groups = draw(st.one_of(st.integers(2, max(2, min(8, n - 1))),
                                 st.integers(1, n + 2)))
-    style = draw(st.sampled_from(["normal", "rounded", "zero-columns", "tied-columns",
-                                  "duplicates", "constant"]))
+    style = draw(st.sampled_from(styles))
     chunk = draw(st.sampled_from([1, 40, 300, grouping.CHUNK_ELEMENTS]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = np.abs(rng.standard_normal((n, width)))
@@ -310,6 +351,36 @@ def test_kmeans_with_cached_polish_matches_reference(case):
     assert result.objective == reference.objective
     assert result.sq_objective == reference.sq_objective
     assert result.iteration_objectives == reference.iteration_objectives
+
+
+@settings(max_examples=100)
+@given(polish_cases(styles=("duplicates", "constant")), st.integers(1, 9))
+def test_polish_stopped_at_a_repeated_pass_matches_reference(case, max_passes):
+    """On duplicate and constant rows zero-gain moves can cycle; the polish
+    ends where ``max_passes`` passes of the reference end."""
+    vectors, start, num_groups, _ = case
+    num_groups = min(num_groups, len(vectors))
+    np.testing.assert_array_equal(
+        grouping._refine_unsquared(vectors, start, num_groups, max_passes),
+        refine_unsquared_reference(vectors, start, num_groups, max_passes))
+
+
+def test_polish_of_constant_rows_stops_at_the_first_repeated_pass(monkeypatch):
+    """40 equal rows in 4 groups: every pass makes zero-gain moves, and the
+    fourth pass would start from the second's assignment, so three passes
+    (not 30) decide the result."""
+    vectors = np.ones((40, 16))
+    start = np.arange(40) % 4
+    passes, first_move = [0], grouping._first_move
+
+    def counted(vectors, assignment, members, costs, scan_from):
+        passes[0] += scan_from == 0  # each pass scans from point 0 first
+        return first_move(vectors, assignment, members, costs, scan_from)
+
+    monkeypatch.setattr(grouping, "_first_move", counted)
+    got = grouping._refine_unsquared(vectors, start, 4)
+    assert passes == [3]
+    np.testing.assert_array_equal(got, refine_unsquared_reference(vectors, start, 4))
 
 
 # ---------------------------------------------------------------- move bound

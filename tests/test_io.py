@@ -350,6 +350,132 @@ def test_every_one_field_mutation_exits_0_or_2(tmp_path, rng, capsys):
     assert failures == []
 
 
+def small_pruned_model(seed=0):
+    """conv 3->4, conv 4->4 and fc 64->2 on 8x8 images, both later layers pruned
+    in groups: 390 weights and biases, a 1,560-byte blob."""
+    rng = np.random.default_rng(seed)
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    conv2 = ConvLayer("conv2", f32(4, 4, 3, 3), f32(4), activation="relu")
+    conv2.grouping = np.array([0, 1, 0, 1])
+    conv2.mask[conv2.grouping == 1, :2] = False
+    fc = FcLayer("fc", f32(2, 64), f32(2))
+    fc.grouping = np.array([0, 1])
+    fc.mask[0, ::3] = False
+    for layer in (conv2, fc):
+        apply_mask(layer)
+    return Model([ConvLayer("conv1", f32(4, 3, 3, 3), f32(4), activation="relu",
+                            compress=False), conv2, fc])
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI run; an escaping exception
+    gives its repr in place of the code."""
+    err = StringIO()
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # an escaping exception fails like a bad exit code
+            code = repr(exc)[:80]
+    return code, err.getvalue()
+
+
+BLOB_COMMANDS = {
+    "eval": lambda prefix, data: ["eval", "--model", str(prefix), "--data", str(data)],
+    "report": lambda prefix, data: ["report", "--model", str(prefix), "--data", str(data)],
+    "deploy": lambda prefix, data: ["deploy", "--model", str(prefix),
+                                    "--out", str(prefix.parent / "out")],
+}
+
+
+@pytest.fixture(scope="module")
+def blob_workdir(tmp_path_factory):
+    """The small pruned model, its deployed form and a 4-sample dataset."""
+    from sgconv.deploy import convert_model
+    workdir = tmp_path_factory.mktemp("blob")
+    model = small_pruned_model()
+    save_model(model, *sgm_paths(workdir / "pruned"))
+    save_model(convert_model(model), *sgm_paths(workdir / "deployed"))
+    save_dataset(make_blob_dataset(4, seed=1), workdir / "d.sgd")
+    return workdir
+
+
+def blob_exit(workdir, which, blob_bytes, command):
+    """Exit code and stderr of ``command`` on model ``which`` with its blob
+    replaced by ``blob_bytes``; the manifest is the saved one."""
+    manifest, blob = sgm_paths(workdir / "case")
+    manifest.write_bytes((workdir / f"{which}.sgm.json").read_bytes())
+    blob.write_bytes(blob_bytes)
+    return run_cli(BLOB_COMMANDS[command](workdir / "case", workdir / "d.sgd"))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_flipped_model_blob_bytes_exit_0_2_or_3(blob_workdir, data):
+    which = data.draw(st.sampled_from(["pruned", "deployed"]))
+    command = data.draw(st.sampled_from(sorted(BLOB_COMMANDS)))
+    raw = bytearray((blob_workdir / f"{which}.sgm.bin").read_bytes())
+    positions = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4,
+                                   unique=True))
+    for pos in positions:
+        raw[pos] ^= data.draw(st.integers(1, 255))
+    if data.draw(st.booleans()):  # and one float made NaN, which few flips reach
+        top = 4 * data.draw(st.integers(0, len(raw) // 4 - 1)) + 2
+        raw[top:top + 2] = b"\xff\xff"
+    with np.errstate(all="ignore"):  # flipped exponent bits overflow on purpose
+        code, err = blob_exit(blob_workdir, which, bytes(raw), command)
+    assert code in (0, 2, 3), (which, command, positions, code, err)
+    assert code == 0 or "error:" in err, (which, command, positions, code, err)
+
+
+@pytest.mark.parametrize("which,size", [("pruned", 1560), ("deployed", 1328)])
+def test_truncated_model_blob_exits_2_at_every_length(blob_workdir, which, size):
+    """Every length short of the whole blob, each through one of the commands
+    in turn (they share the loader); the deployed blob holds no pruned weights."""
+    raw = (blob_workdir / f"{which}.sgm.bin").read_bytes()
+    assert len(raw) == size
+    commands = sorted(BLOB_COMMANDS)
+    for length in range(len(raw)):
+        command = commands[length % len(commands)]
+        code, err = blob_exit(blob_workdir, which, raw[:length], command)
+        assert code == 2 and "error:" in err, (length, command, code, err)
+
+
+@pytest.fixture(scope="module")
+def fields_workdir(tmp_path_factory):
+    """A model with a record of every kind, its blob and a 4-sample dataset."""
+    workdir = tmp_path_factory.mktemp("fields")
+    save_model(every_kind_model(np.random.default_rng(3)), *sgm_paths(workdir / "m"))
+    save_dataset(make_blob_dataset(4, seed=1), workdir / "d.sgd")
+    return workdir
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_several_bad_manifest_fields_at_once_exit_0_or_2(fields_workdir, data):
+    base_manifest, base_blob = sgm_paths(fields_workdir / "m")
+    manifest, blob = sgm_paths(fields_workdir / "case")
+    blob.write_bytes(base_blob.read_bytes())
+    doc = json.loads(base_manifest.read_text())
+    records = {
+        "groups": [g for rec in doc["layers"] for g in rec.get("groups", [])],
+        "masks": list(doc["masks"].values()),
+        "groupings": list(doc["groupings"].values()),
+    }
+    cases = data.draw(st.lists(st.sampled_from(BAD_VALUES), min_size=2, max_size=4,
+                               unique_by=lambda case: case[1:3]))
+    for _, where, key, value in cases:
+        targets = records.get(where) or [rec for rec in doc["layers"] if rec["kind"] == where]
+        targets[data.draw(st.integers(0, len(targets) - 1))][key] = value
+    manifest.write_text(json.dumps(doc))
+    for command in ("report", "eval"):
+        code, err = run_cli([command, "--model", str(manifest), "--data",
+                             str(fields_workdir / "d.sgd")])
+        assert code == 0 or (code == 2 and "error:" in err), (cases, command, code, err)
+
+
 # ---------------------------------------------------------------- datasets
 
 def test_dataset_roundtrip(tmp_path):
@@ -413,14 +539,7 @@ def eval_exit(workdir, data_bytes):
     """Exit code and stderr of ``sgconv eval`` of the toy net in ``workdir`` on a
     dataset file holding ``data_bytes``."""
     (workdir / "d.sgd").write_bytes(data_bytes)
-    err = StringIO()
-    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(["eval", "--model", str(workdir / "toy"),
-                         "--data", str(workdir / "d.sgd")])
-        except Exception as exc:  # an escaping exception fails like a bad exit code
-            code = repr(exc)[:80]
-    return code, err.getvalue()
+    return run_cli(["eval", "--model", str(workdir / "toy"), "--data", str(workdir / "d.sgd")])
 
 
 @pytest.fixture(scope="module")

@@ -64,6 +64,20 @@ def reference_conv_input_grad(dout, weight, x_shape, stride, padding):
     return dpad[:, :, padding:padding + h, padding:padding + w]
 
 
+def reference_im2col(x, kernel, stride, padding):
+    """The unfold as np.pad and k*k strided tap copies."""
+    n, c, h, w = x.shape
+    ho = ops.conv_out_size(h, kernel, stride, padding)
+    wo = ops.conv_out_size(w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel, kernel, ho, wo), dtype=x.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, i, j] = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, c * kernel * kernel, ho * wo)
+
+
 def central_diff(loss_fn, arr, h=1e-3):
     """Central finite differences of a scalar loss w.r.t. every array entry."""
     grad = np.zeros_like(arr, dtype=np.float64)
@@ -266,6 +280,65 @@ def test_conv_input_grad_is_bit_identical_to_per_sample_scatter(case):
     want = reference_conv_input_grad(dout, weight, x_shape, stride, padding)
     assert dx.shape == want.shape and dx.dtype == want.dtype
     assert dx.tobytes() == want.tobytes()
+
+
+@st.composite
+def unfold_cases(draw):
+    """An input with -0.0, NaN and inf entries, contiguous or not, and a
+    kernel, stride and padding whose output rows hold 1-20 values."""
+    kernel, stride = draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 3))
+    low = max(1, kernel - 2 * padding)
+
+    def size_for(out):  # an input extent with ``out`` outputs, when one exists
+        return max(low, (out - 1) * stride + kernel - 2 * padding
+                   + draw(st.integers(0, stride - 1)))
+
+    h, w = size_for(draw(st.integers(1, 6))), size_for(draw(st.integers(1, 20)))
+    n, c = draw(st.integers(1, 5)), draw(st.integers(1, 16))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["contiguous", "strided", "channels-last"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "strided":
+        x = rng.standard_normal((n, c, h, 2 * w)).astype(dtype)[..., ::2]
+    elif layout == "channels-last":
+        x = rng.standard_normal((n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+    else:
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    special = rng.random(x.shape)
+    x[special < 0.1] = -0.0
+    x[special > 0.95] = np.nan
+    x[special > 0.97] = np.inf
+    x[special > 0.99] = -np.inf
+    return x, kernel, stride, padding
+
+
+@settings(max_examples=400)
+@given(unfold_cases())
+def test_unfold_is_byte_identical_to_pad_and_tap_copies(case):
+    x, kernel, stride, padding = case
+    got = ops._im2col(x, kernel, stride, padding)
+    want = reference_im2col(x, kernel, stride, padding)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_unfold_paths_and_cached_index():
+    """Rows of up to UNFOLD_GATHER_WIDTH values gather through one cached,
+    read-only index; wider rows never build one; the cache is bounded."""
+    x = np.arange(2 * 3 * 9 * 9, dtype=np.float32).reshape(2, 3, 9, 9)
+    ops._unfold_index.cache_clear()
+    for width in (ops.UNFOLD_GATHER_WIDTH, ops.UNFOLD_GATHER_WIDTH + 1):
+        for _ in range(2):  # 3x3 kernel, padding 1: rows of ``width`` values
+            ops._im2col(x[..., :width], 3, 1, 1)
+        info = ops._unfold_index.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert info.maxsize is not None
+    index = ops._unfold_index(3, 9, 8, 3, 1, 1)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
 
 
 def test_fc_backward_matches_finite_differences(rng):
