@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .data import load_dataset
-from .deploy import (EquivalenceError, GranularityError, convert_model, count_flops,
-                     count_params, infer_input_shape, verify_equivalence)
+from .deploy import (EquivalenceError, GranularityError, _layer_inputs, convert_model,
+                     count_flops, count_params, infer_input_shape, verify_equivalence)
 from .io import ModelFormatError, load_model, save_model, sgm_paths
 from .pipeline import PruneSchedule, evaluate, run_algorithm1
 from .pruning import model_ratios
@@ -95,13 +95,9 @@ def cmd_report(args) -> int:
         "flops": count_flops(model, shape),
         "input_shape": list(int(v) for v in shape),
         **model_ratios(model),
-        "layers": [],
+        "layers": [{"name": layer.name, "kind": layer.kind, **layer.describe(layer_shape)}
+                   for layer, layer_shape in _layer_inputs(model, shape)],
     }
-    layer_shape = tuple(int(v) for v in shape)
-    for layer in model.layers:
-        info["layers"].append({"name": layer.name, "kind": layer.kind,
-                               **layer.describe(layer_shape)})
-        layer_shape = layer.out_shape(layer_shape)
     if args.json:
         Path(args.json).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n",
                                    encoding="utf-8")

@@ -138,33 +138,33 @@ def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
         yield rng.standard_normal((min(step, n_inputs - lo), *input_shape)).astype(np.float32)
 
 
-def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
-                          n_inputs: int = 100, seed=0) -> float:
-    """Largest |a - b| over random standard-normal inputs (NaN if any is NaN).
+def layer_deviations(model_a: Model, model_b: Model, input_shape,
+                     n_inputs: int = 100, seed=0) -> np.ndarray:
+    """Largest |a - b| of each layer's outputs (NaN if any is NaN), running
+    the two models side by side, layer by layer, on random standard-normal
+    inputs; the last entry is the output deviation. The models must have
+    as many layers.
 
     Both models run on the same batches, each the largest that neither
     model's batch_size_for exceeds. Conv and affine outputs do not depend
     on the split; fc outputs may differ in the last bits from one
     whole-batch forward, since BLAS picks its kernel by matrix size.
     """
-    return float(np.max([np.max(np.abs(model_a.forward(x) - model_b.forward(x)))
-                         for x in _batches(model_a, model_b, input_shape, n_inputs, seed)]))
-
-
-def _first_layer_over(model_a: Model, model_b: Model, batches, tol):
-    """Run both models side by side, layer by layer, on each batch; the name
-    and deviation of the first layer whose outputs differ by more than
-    ``tol`` on any batch."""
     devs = np.zeros(len(model_b.layers))
-    for x in batches:
+    for x in _batches(model_a, model_b, input_shape, n_inputs, seed):
         xa = xb = x
-        for i, (layer_a, layer_b) in enumerate(zip(model_a.layers, model_b.layers)):
+        for i, (layer_a, layer_b) in enumerate(zip(model_a.layers, model_b.layers,
+                                                   strict=True)):
             xa, xb = layer_forward(layer_a, xa), layer_forward(layer_b, xb)
             devs[i] = np.maximum(devs[i], np.max(np.abs(xa - xb)))  # keeps a NaN
-    for layer_b, dev in zip(model_b.layers, devs):
-        if not dev <= tol:
-            return layer_b.name, float(dev)
-    return None
+    return devs
+
+
+def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
+                          n_inputs: int = 100, seed=0) -> float:
+    """The output deviation of layer_deviations; 0 for models without layers."""
+    devs = layer_deviations(model_a, model_b, input_shape, n_inputs, seed)
+    return float(devs[-1]) if len(devs) else 0.0
 
 
 def verify_equivalence(original: Model, deployed: Model, input_shape,
@@ -172,20 +172,19 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     """Check deployed outputs against the masked dense forward, or raise.
 
     A NaN deviation fails the check: NaN outputs prove no equivalence.
-    A failed check is rerun layer by layer on the same inputs, and the
-    error names the first layer over tolerance.
+    The models run side by side once, so a failed check's error names
+    the first layer over tolerance.
     """
     if n_inputs < 1:
         raise ValueError(f"equivalence check needs at least 1 input, got n_inputs={n_inputs}")
     if not tol >= 0:
         raise ValueError(f"equivalence tolerance must be a number >= 0, got tol={tol}")
-    dev = max_forward_deviation(original, deployed, input_shape, n_inputs, seed)
-    if not dev <= tol:
-        message = (f"deployed model deviates from masked dense forward: "
-                   f"max abs deviation {dev:.3e} > {tol:.1e}")
-        first = _first_layer_over(original, deployed, _batches(
-            original, deployed, input_shape, n_inputs, seed), tol)
-        if first is not None:
-            message += f"; first layer over tolerance: {first[0]!r} ({first[1]:.3e})"
-        raise EquivalenceError(message)
+    devs = layer_deviations(original, deployed, input_shape, n_inputs, seed)
+    dev = float(devs[-1]) if len(devs) else 0.0
+    if not dev <= tol:  # then the output layer, at least, is over tolerance
+        name, first = next((layer.name, d) for layer, d in zip(deployed.layers, devs)
+                           if not d <= tol)
+        raise EquivalenceError(f"deployed model deviates from masked dense forward: "
+                               f"max abs deviation {dev:.3e} > {tol:.1e}; first layer "
+                               f"over tolerance: {name!r} ({first:.3e})")
     return dev

@@ -103,37 +103,17 @@ def _lloyd(vectors, num_groups, rng, max_iter):
     return assignment, centroids, trace
 
 
-# Largest temporary the polish builds in one numpy call: a stacked gather
-# (rows x members x channels) unless a single row is larger, or point-to-
-# centroid differences (points x groups x channels) unless one point's are.
+# Largest temporary the polish builds in one numpy call: point-to-centroid
+# differences (points x groups x channels), unless one point's are larger.
 CHUNK_ELEMENTS = 1 << 18
 
 
-def _stacked_costs(vectors, rows):
-    """Unsquared cost of each row's member set; rows is (k, m), index-sorted.
-
-    Every row is summed as a lone group would be (members in index order,
-    centroid = sum / m), so its cost does not depend on the other rows.
-    """
-    block = vectors[rows]  # (k, m, C)
-    centroid = block.sum(axis=1) / rows.shape[1]
-    return np.sqrt(((block - centroid[:, None, :]) ** 2).sum(axis=2)).sum(axis=1)
-
-
-def _rows_without(own, points):
-    """(k, m-1) rows: the sorted members ``own`` less each of ``points``."""
-    cols = np.arange(len(own) - 1)
-    return own[cols + (cols >= np.searchsorted(own, points)[:, None])]
-
-
-def _rows_with(own, points):
-    """(k, m+1) rows: the sorted members ``own`` plus each of ``points``, in order."""
-    m = len(own)
-    at = np.searchsorted(own, points)
-    cols = np.arange(m + 1)
-    rows = own[np.minimum(cols - (cols > at[:, None]), m - 1)]
-    rows[np.arange(len(points)), at] = points
-    return rows
+def _cost(vectors, members):
+    """Unsquared cost of the group of the sorted ``members``, summed as a lone
+    group (members in index order, centroid = sum / m)."""
+    block = vectors[members]
+    centroid = block.sum(axis=0) / len(members)
+    return np.sqrt(((block - centroid) ** 2).sum(axis=1)).sum()
 
 
 def _live_moves(vectors, assignment, members):
@@ -170,12 +150,12 @@ def _live_moves(vectors, assignment, members):
 def _first_move(vectors, assignment, members, costs, start):
     """The first point from ``start`` on whose best exact gain exceeds -1e-12,
     as (point, group, its group's cost without it, that group's with it), or
-    None. Only live moves are costed, one stacked row each."""
+    None. Only live moves are costed."""
     live = _live_moves(vectors, assignment, members)
     for idx in np.flatnonzero(live[start:].any(axis=1)) + start:
         dsts, src = np.flatnonzero(live[idx]), assignment[idx]
-        rem = _stacked_costs(vectors, _rows_without(members[src], [idx]))[0]
-        add = np.array([_stacked_costs(vectors, _rows_with(members[d], [idx]))[0] for d in dsts])
+        rem = _cost(vectors, members[src][members[src] != idx])
+        add = np.array([_cost(vectors, np.sort(np.append(members[d], idx))) for d in dsts])
         gains = (costs[src] + costs[dsts]) - (rem + add)
         best = gains.argmax()
         if gains[best] > -1e-12:
@@ -201,7 +181,7 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     if num_groups == 1 or num_groups >= len(vectors):
         return assignment  # no other group, or all singletons: no legal move
     members = [np.flatnonzero(assignment == d) for d in range(num_groups)]
-    costs = np.array([_stacked_costs(vectors, own[None])[0] for own in members])
+    costs = np.array([_cost(vectors, own) for own in members])
     starts, first_pass = [], {}  # start assignment of each pass; pass of each start
     for done in range(max_passes):
         key = assignment.tobytes()
@@ -216,7 +196,7 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
             src, assignment[idx] = assignment[idx], dst
             costs[src], costs[dst] = costs_src, costs_dst
             members[src] = members[src][members[src] != idx]
-            members[dst] = np.insert(members[dst], np.searchsorted(members[dst], idx), idx)
+            members[dst] = np.sort(np.append(members[dst], idx))
             start = idx + 1
     return assignment
 

@@ -6,6 +6,10 @@ float32 values, laid out in layer order (weights, then bias), each range
 referenced from the manifest by byte offset and length. Masks travel in
 the manifest as base64-packed row-major bitsets, groupings as plain
 integer arrays; neither ever round-trips through floating point.
+
+Each layer class writes and reads its own record's fields (``to_record``,
+``from_record``, reached through ``KINDS``); this module keeps the blob,
+the manifest's top level, bias ranges, masks and groupings.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (AffineLayer, ConvLayer, FcLayer, GroupBlock, GroupConvLayer,
-                    Model, validate_first_conv_uncompressed)
+from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, MaskedLayer, Model,
+                    validate_first_conv_uncompressed)
 
 FORMAT_VERSION = 1
+KINDS = {cls.kind: cls for cls in (ConvLayer, FcLayer, GroupConvLayer, AffineLayer)}
 
 
 class ModelFormatError(Exception):
@@ -77,6 +82,12 @@ def _decode_mask(text: str, shape, name) -> np.ndarray:
     return bits.reshape(shape).astype(bool)
 
 
+def _kind_class(kind):
+    if kind not in KINDS:
+        raise ModelFormatError(f"unknown layer kind {kind!r}")
+    return KINDS[kind]
+
+
 def save_model(model: Model, manifest_path, blob_path) -> None:
     """Write the manifest and blob; byte-deterministic for identical models."""
     validate_first_conv_uncompressed(model)
@@ -85,37 +96,11 @@ def save_model(model: Model, manifest_path, blob_path) -> None:
     masks = {}
     groupings = {}
     for layer in model.layers:
-        rec = {"name": layer.name, "kind": layer.kind, "activation": layer.activation}
-        if layer.kind == "conv2d":
-            c_out, c_in, k, _ = layer.weight.shape
-            rec.update(out_channels=c_out, in_channels=c_in, kernel_size=k,
-                       stride=layer.stride, padding=layer.padding, compress=layer.compress)
-            rec["blob_offset"], rec["blob_length"] = blob.add(layer.weight)
-        elif layer.kind == "fc":
-            c_out, c_in = layer.weight.shape
-            rec.update(out_features=c_out, in_features=c_in, compress=layer.compress)
-            rec["blob_offset"], rec["blob_length"] = blob.add(layer.weight)
-        elif layer.kind == "groupconv":
-            rec.update(out_channels=layer.out_channels, in_channels=layer.in_channels,
-                       kernel_size=layer.kernel, stride=layer.stride,
-                       padding=layer.padding, source=layer.source, compress=False)
-            rec["groups"] = []
-            for block in layer.groups:
-                offset, length = blob.add(block.weight)
-                rec["groups"].append({
-                    "filters": [int(v) for v in block.filter_indices],
-                    "channels": [int(v) for v in block.channel_indices],
-                    "blob_offset": offset, "blob_length": length,
-                })
-        elif layer.kind == "affine_passthrough":
-            rec.update(channels=int(layer.scale.size))
-            rec["blob_offset"], rec["blob_length"] = blob.add(layer.scale)
-            rec["bias_offset"], rec["bias_length"] = blob.add(layer.shift)
-        else:
-            raise ModelFormatError(f"cannot serialize layer kind {layer.kind!r}")
+        rec = {"name": layer.name, "kind": layer.kind, "activation": layer.activation,
+               **_kind_class(layer.kind).to_record(layer, blob.add)}
         if getattr(layer, "bias", None) is not None:
             rec["bias_offset"], rec["bias_length"] = blob.add(layer.bias)
-        if layer.kind in ("conv2d", "fc"):
+        if isinstance(layer, MaskedLayer):
             if not layer.mask.all():
                 masks[layer.name] = {"bits": _encode_mask(layer.mask)}
                 rec["mask_ref"] = layer.name
@@ -157,17 +142,24 @@ class _BlobReader:
         arr = np.frombuffer(self.raw, dtype="<f4", count=count, offset=offset)
         return arr.reshape(shape).copy()
 
+    def bias(self, rec, size):
+        """The record's optional (size,) bias, or None."""
+        if "bias_offset" not in rec:
+            return None
+        return self.fetch(rec, (size,), f"{rec['name']}.bias", "bias_offset", "bias_length")
+
+    @staticmethod
+    def indices(values, what) -> np.ndarray:
+        """A JSON list of integers as an int64 array; a float is rejected, not floored."""
+        if not isinstance(values, list) or not all(type(v) is int for v in values):
+            raise ModelFormatError(f"{what} must be a list of integers")
+        return np.array(values, dtype=np.int64)
+
     def check_disjoint(self):
         spans = sorted((o, o + l, what) for o, l, what in self.ranges if l > 0)
         for (s0, e0, w0), (s1, e1, w1) in zip(spans, spans[1:]):
             if s1 < e0:
                 raise OverlappingRangesError(f"blob ranges overlap: {w0} and {w1}")
-
-
-def _bias(blob, rec, name, size):
-    if "bias_offset" not in rec:
-        return None
-    return blob.fetch(rec, (size,), f"{name}.bias", "bias_offset", "bias_length")
 
 
 def _ref(table, rec, key, name):
@@ -177,20 +169,17 @@ def _ref(table, rec, key, name):
     return table[ref]
 
 
-def _indices(values, what) -> np.ndarray:
-    """A JSON list of integers as an int64 array; a float is rejected, not floored."""
-    if not isinstance(values, list) or not all(type(v) is int for v in values):
-        raise ModelFormatError(f"{what} must be a list of integers")
-    return np.array(values, dtype=np.int64)
-
-
-def _attach_mask_and_grouping(layer, rec, masks, groupings):
+def _read_layer(rec, blob, masks, groupings):
+    """One layer from its manifest record; KeyError/TypeError/ValueError when malformed."""
+    layer = _kind_class(rec["kind"]).from_record(rec, blob)
+    if not isinstance(layer, MaskedLayer):
+        return layer
     if "mask_ref" in rec:
         bits = _ref(masks, rec, "mask_ref", layer.name)["bits"]
         layer.mask = _decode_mask(bits, layer.mask.shape, layer.name)
     if "grouping_ref" in rec:
         entry = _ref(groupings, rec, "grouping_ref", layer.name)
-        assignment = _indices(entry["assignment"], f"{layer.name}: grouping assignment")
+        assignment = blob.indices(entry["assignment"], f"{layer.name}: grouping assignment")
         num_groups = entry["num_groups"]
         if type(num_groups) is not int:  # 2.5 would load and be re-saved as another count
             raise ModelFormatError(f"{layer.name}: grouping num_groups must be an integer, "
@@ -198,47 +187,12 @@ def _attach_mask_and_grouping(layer, rec, masks, groupings):
         if len(assignment) != layer.mask.shape[0]:
             raise ModelFormatError(f"{layer.name}: grouping length {len(assignment)} "
                                    f"!= {layer.mask.shape[0]} filters")
-        if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_groups):
-            raise ModelFormatError(f"{layer.name}: group ids outside [0, {num_groups})")
+        # a saved num_groups is always the largest id + 1; another would re-save changed
+        if len(assignment) and (assignment.min() < 0 or assignment.max() != num_groups - 1):
+            raise ModelFormatError(f"{layer.name}: group ids must lie in [0, {num_groups}) "
+                                   f"and reach {num_groups - 1}")
         layer.grouping = assignment
     return layer
-
-
-def _read_layer(rec, blob, masks, groupings):
-    """One layer from its manifest record; KeyError/TypeError/ValueError when malformed."""
-    name, kind = rec["name"], rec["kind"]
-    if kind == "conv2d":
-        c_out, k = rec["out_channels"], rec["kernel_size"]
-        weight = blob.fetch(rec, (c_out, rec["in_channels"], k, k), name)
-        layer = ConvLayer(name, weight, _bias(blob, rec, name, c_out), stride=rec["stride"],
-                          padding=rec["padding"], activation=rec["activation"],
-                          compress=rec["compress"])
-        return _attach_mask_and_grouping(layer, rec, masks, groupings)
-    if kind == "fc":
-        c_out = rec["out_features"]
-        weight = blob.fetch(rec, (c_out, rec["in_features"]), name)
-        layer = FcLayer(name, weight, _bias(blob, rec, name, c_out),
-                        activation=rec["activation"], compress=rec["compress"])
-        return _attach_mask_and_grouping(layer, rec, masks, groupings)
-    if kind == "groupconv":
-        k = rec["kernel_size"]
-        blocks = []
-        for gi, grec in enumerate(rec["groups"]):
-            filt = _indices(grec["filters"], f"{name}.group{gi}: filters")
-            chan = _indices(grec["channels"], f"{name}.group{gi}: channels")
-            blocks.append(GroupBlock(filt, chan, blob.fetch(
-                grec, (len(filt), len(chan), k, k), f"{name}.group{gi}")))
-        return GroupConvLayer(name, blocks, in_channels=rec["in_channels"],
-                              out_channels=rec["out_channels"], kernel=k,
-                              bias=_bias(blob, rec, name, rec["out_channels"]),
-                              stride=rec["stride"], padding=rec["padding"],
-                              activation=rec["activation"], source=rec["source"])
-    if kind == "affine_passthrough":
-        scale = blob.fetch(rec, (rec["channels"],), name)
-        shift = blob.fetch(rec, (rec["channels"],), f"{name}.shift",
-                           "bias_offset", "bias_length")
-        return AffineLayer(name, scale, shift, activation=rec["activation"])
-    raise ModelFormatError(f"unknown layer kind {kind!r}")
 
 
 def load_model(manifest_path, blob_path) -> Model:

@@ -11,11 +11,14 @@ need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``,
 ``executed_macs(shape)`` (what its kernel runs per sample: macs(shape)
 except for a group layer that runs one dense GEMM),
 ``compress`` (whether pruning and deployment rewrite it), ``ratio_kind``
-(the kind whose removal ratio counts its connections, or None) and
-``describe(shape)`` (its ``sgconv report`` entry). The file format stays
-in io.py. Connection masks live on conv/fc layers as (C_out, C_in)
-boolean arrays; an fc layer is a kernel-1 conv, and a dead conv
-connection stands for the whole zeroed k x k kernel. Weights of
+(the kind whose removal ratio counts its connections, or None),
+``describe(shape)`` (its ``sgconv report`` entry), ``to_record(add)``
+(its manifest fields; ``add(array)`` stores an array in the blob and
+gives its (offset, length)) and the classmethod ``from_record(rec,
+blob)``; io.py keeps the blob, the manifest's top level, bias ranges,
+masks and groupings. Connection masks live on conv/fc layers as
+(C_out, C_in) boolean arrays; an fc layer is a kernel-1 conv, and a dead
+conv connection stands for the whole zeroed k x k kernel. Weights of
 masked-out connections are kept at exactly zero, so the plain forward
 pass IS the masked forward pass.
 """
@@ -96,7 +99,7 @@ def flatten_batch(x, width, name):
 
 
 @dataclass
-class _MaskedLayer:
+class MaskedLayer:
     """Conv and fc: a (C_out, C_in, ...) weight whose mask defaults to all-keep."""
     name: str
     weight: np.ndarray                 # (C_out, C_in, k, k) conv, (C_out, C_in) fc; float32
@@ -137,7 +140,7 @@ class _MaskedLayer:
 
 
 @dataclass
-class ConvLayer(_MaskedLayer):
+class ConvLayer(MaskedLayer):
     kind = "conv2d"
     stride: int = 1
     padding: int = 0
@@ -161,9 +164,23 @@ class ConvLayer(_MaskedLayer):
         return _conv_out_shape(self.name, shape, c_in, c_out, kernel,
                                self.stride, self.padding)
 
+    def to_record(self, add):
+        c_out, c_in, k, _ = self.weight.shape
+        offset, length = add(self.weight)
+        return dict(out_channels=c_out, in_channels=c_in, kernel_size=k, stride=self.stride,
+                    padding=self.padding, compress=self.compress,
+                    blob_offset=offset, blob_length=length)
+
+    @classmethod
+    def from_record(cls, rec, blob):
+        name, c_out, k = rec["name"], rec["out_channels"], rec["kernel_size"]
+        return cls(name, blob.fetch(rec, (c_out, rec["in_channels"], k, k), name),
+                   blob.bias(rec, c_out), stride=rec["stride"], padding=rec["padding"],
+                   activation=rec["activation"], compress=rec["compress"])
+
 
 @dataclass
-class FcLayer(_MaskedLayer):
+class FcLayer(MaskedLayer):
     kind = "fc"
     kernel, stride, padding = 1, 1, 0  # a kernel-1 conv on flat input
 
@@ -178,6 +195,19 @@ class FcLayer(_MaskedLayer):
 
     def out_shape(self, shape):
         return _flat_out_shape(self.name, shape, self.weight.shape[1], self.weight.shape[0])
+
+    def to_record(self, add):
+        c_out, c_in = self.weight.shape
+        offset, length = add(self.weight)
+        return dict(out_features=c_out, in_features=c_in, compress=self.compress,
+                    blob_offset=offset, blob_length=length)
+
+    @classmethod
+    def from_record(cls, rec, blob):
+        name, c_out = rec["name"], rec["out_features"]
+        return cls(name, blob.fetch(rec, (c_out, rec["in_features"]), name),
+                   blob.bias(rec, c_out), activation=rec["activation"],
+                   compress=rec["compress"])
 
 
 @dataclass
@@ -232,6 +262,31 @@ class GroupConvLayer:
             return _flat_out_shape(self.name, shape, self.in_channels, self.out_channels)
         return _conv_out_shape(self.name, shape, self.in_channels, self.out_channels,
                                self.kernel, self.stride, self.padding)
+
+    def to_record(self, add):
+        groups = []
+        for block in self.groups:
+            offset, length = add(block.weight)
+            groups.append({"filters": [int(v) for v in block.filter_indices],
+                           "channels": [int(v) for v in block.channel_indices],
+                           "blob_offset": offset, "blob_length": length})
+        return dict(out_channels=self.out_channels, in_channels=self.in_channels,
+                    kernel_size=self.kernel, stride=self.stride, padding=self.padding,
+                    source=self.source, compress=False, groups=groups)
+
+    @classmethod
+    def from_record(cls, rec, blob):
+        name, k = rec["name"], rec["kernel_size"]
+        blocks = []
+        for gi, grec in enumerate(rec["groups"]):
+            filt = blob.indices(grec["filters"], f"{name}.group{gi}: filters")
+            chan = blob.indices(grec["channels"], f"{name}.group{gi}: channels")
+            blocks.append(GroupBlock(filt, chan, blob.fetch(
+                grec, (len(filt), len(chan), k, k), f"{name}.group{gi}")))
+        return cls(name, blocks, in_channels=rec["in_channels"],
+                   out_channels=rec["out_channels"], kernel=k,
+                   bias=blob.bias(rec, rec["out_channels"]), stride=rec["stride"],
+                   padding=rec["padding"], activation=rec["activation"], source=rec["source"])
 
     def macs(self, shape):
         return self.plan.block_macs * math.prod(self.out_shape(shape)[1:])
@@ -310,6 +365,18 @@ class AffineLayer:
             raise ValueError(f"layer {self.name!r} expects {self.scale.size} channels, "
                              f"got {shape[0]}")
         return tuple(shape)
+
+    def to_record(self, add):  # the shift takes the bias range
+        (offset, length), (shift_offset, shift_length) = add(self.scale), add(self.shift)
+        return dict(channels=int(self.scale.size), blob_offset=offset, blob_length=length,
+                    bias_offset=shift_offset, bias_length=shift_length)
+
+    @classmethod
+    def from_record(cls, rec, blob):
+        name, shape = rec["name"], (rec["channels"],)
+        return cls(name, blob.fetch(rec, shape, name),
+                   blob.fetch(rec, shape, f"{name}.shift", "bias_offset", "bias_length"),
+                   activation=rec["activation"])
 
     def macs(self, shape):
         return int(np.prod(shape))

@@ -182,13 +182,17 @@ def test_equivalence_check_raises_on_corruption(rng):
 def test_failed_equivalence_check_names_the_first_layer_over_tolerance(monkeypatch):
     model = build_toy_cnn(6)
     deployed = corrupt_first_block(convert_model(model), "conv2")
+    calls = []
+
+    def counted(layer, x, _real=deploy.layer_forward):
+        calls.append(layer.name)
+        return _real(layer, x)
+
+    monkeypatch.setattr(deploy, "layer_forward", counted)
     with pytest.raises(EquivalenceError, match="first layer over tolerance: 'conv2'"):
         verify_equivalence(model, deployed, (3, 8, 8), seed=0)
-    # a passing check runs the whole-model comparison only
-    calls = []
-    monkeypatch.setattr(deploy, "_first_layer_over", lambda *a: calls.append(a))
-    verify_equivalence(model, convert_model(model), (3, 8, 8), seed=0)
-    assert calls == []
+    # one batch of 100 inputs, each layer run once per model: no rerun to find the layer
+    assert calls == ["conv1", "conv1", "conv2", "conv2", "fc1", "fc1"]
 
 
 def test_equivalence_check_needs_an_input():
@@ -196,6 +200,12 @@ def test_equivalence_check_needs_an_input():
     for count in (0, -5):
         with pytest.raises(ValueError, match=f"n_inputs={count}"):
             verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=count)
+
+
+def test_models_without_layers_deviate_by_0():
+    empty = Model(layers=[])
+    assert max_forward_deviation(empty, empty, (3, 4, 4)) == 0.0
+    assert verify_equivalence(empty, empty, (3, 4, 4)) == 0.0
 
 
 def test_equivalence_check_raises_on_nan_output():
@@ -263,23 +273,23 @@ def test_batched_inputs_are_the_bytes_of_one_draw(count, step, seed):
 
 def test_huge_check_draws_its_inputs_batch_by_batch(monkeypatch):
     """10**9 inputs of the toy net would take 1.4 TiB at once; drawn batch by
-    batch, the check gets as far as the model forward of its third batch."""
+    batch, the check gets as far as the first layer forward of its third batch."""
     class Third(Exception):
         pass
 
     model = build_toy_cnn(6)
-    calls, forward = [], Model.forward
+    calls, forward = [], deploy.layer_forward
 
-    def forward_until_third(self, x):
+    def forward_until_third(layer, x):
         calls.append(len(x))
-        if len(calls) == 5:  # the original and deployed models take turns
+        if len(calls) == 13:  # 3 layers, each run by the original and deployed model
             raise Third
-        return forward(self, x)
+        return forward(layer, x)
 
-    monkeypatch.setattr(Model, "forward", forward_until_third)
+    monkeypatch.setattr(deploy, "layer_forward", forward_until_third)
     with pytest.raises(Third):
         verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=10**9)
-    assert calls == [512] * 5
+    assert calls == [512] * 13
 
 
 # ---------------------------------------------------------------- accounting

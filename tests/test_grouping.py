@@ -305,22 +305,21 @@ def polish_cases(draw, styles=("normal", "rounded", "zero-columns", "tied-column
 
 @settings(max_examples=100)
 @given(polish_cases())
-def test_stacked_candidate_costs_equal_lone_group_costs(case):
+def test_candidate_costs_equal_lone_group_costs(case):
     vectors, assignment, num_groups, _ = case
     for gid in range(min(num_groups, len(vectors))):
         own = np.flatnonzero(assignment == gid)
-        others = np.flatnonzero(assignment != gid)
         trial = assignment.copy()
-        added = grouping._stacked_costs(vectors, grouping._rows_with(own, others))
-        for point, cost in zip(others, added):
+        for point in np.flatnonzero(assignment != gid):
+            added = grouping._cost(vectors, np.sort(np.append(own, point)))
             trial[point] = gid
-            assert cost == group_cost_reference(vectors, trial, gid)
+            assert added == group_cost_reference(vectors, trial, gid)
             trial[point] = assignment[point]
         if len(own) > 1:
-            removed = grouping._stacked_costs(vectors, grouping._rows_without(own, own))
-            for point, cost in zip(own, removed):
+            for point in own:
+                removed = grouping._cost(vectors, own[own != point])
                 trial[point] = -1
-                assert cost == group_cost_reference(vectors, trial, gid)
+                assert removed == group_cost_reference(vectors, trial, gid)
                 trial[point] = gid
 
 

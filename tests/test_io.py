@@ -2,19 +2,24 @@
 import contextlib
 import json
 import struct
+import tempfile
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_group_assignment, random_group_mask
+from sgconv import model as model_module
 from sgconv.cli import main
 from sgconv.data import MAGIC, load_dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_layer
-from sgconv.io import (ModelFormatError, OverlappingRangesError, TruncatedBlobError,
+from sgconv.io import (KINDS, ModelFormatError, OverlappingRangesError, TruncatedBlobError,
                        VersionMismatchError, load_model, save_model, sgm_paths)
 from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
+from sgconv.ops import ACTIVATIONS
 
 
 def save_load(model, tmp_path, name="m"):
@@ -244,6 +249,8 @@ BAD_VALUES = [
     ("groups-fractional-filter", "groups", "filters", [0, 2, 4.5]),
     ("groups-fractional-channel", "groups", "channels", [0, 1, 2, 3, 4, 5.5]),
     ("groupings-num-groups-fraction", "groupings", "num_groups", 2.5),
+    # ids 0..1 would be re-saved with num_groups 2
+    ("groupings-num-groups-above-largest-id", "groupings", "num_groups", 5),
     # a string "false" is truthy: the layer would count as compressible
     ("fc-compress-string", "fc", "compress", "false"),
     ("fc-compress-int", "fc", "compress", 0),
@@ -279,6 +286,77 @@ def test_every_kind_model_roundtrips(tmp_path, rng):
     loaded, _, _ = save_load(model, tmp_path)
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
     np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
+
+
+def test_kind_table_holds_every_layer_class():
+    """A layer class without a KINDS entry could be built but never saved."""
+    classes = {obj for obj in vars(model_module).values()
+               if isinstance(obj, type) and isinstance(getattr(obj, "kind", None), str)}
+    assert set(KINDS.values()) == classes and len(classes) == 4
+    for kind, cls in KINDS.items():
+        assert cls.kind == kind and callable(cls.to_record) and callable(cls.from_record)
+
+
+def random_kind_chain(data):
+    """A flat chain of conv, fc and affine layers and of group layers from
+    convert_layer, each with or without bias, random masks, groupings and
+    compress flags; and its per-sample input shape."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    size = data.draw(st.integers(3, 7), label="size")
+    input_shape = shape = (data.draw(st.integers(1, 5), label="channels"), size, size)
+    layers = []
+    for i in range(data.draw(st.integers(1, 5), label="depth")):
+        kind = data.draw(st.sampled_from(
+            ["conv2d", "groupconv", "fc", "groupfc", "affine"] if len(shape) == 3
+            else ["fc", "groupfc", "affine"]), label=f"kind{i}")
+        activation = data.draw(st.sampled_from(ACTIVATIONS), label=f"activation{i}")
+        if kind == "affine":
+            layers.append(AffineLayer(f"l{i}", f32(shape[0]), f32(shape[0]), activation))
+            continue
+        c_out = data.draw(st.integers(1, 6), label=f"c_out{i}")
+        bias = f32(c_out) if data.draw(st.booleans(), label=f"bias{i}") else None
+        # the first plain conv feeds raw input and is never compressed
+        first_conv = kind == "conv2d" and not any(l.kind == "conv2d" for l in layers)
+        compress = not first_conv and data.draw(st.booleans(), label=f"compress{i}")
+        if kind in ("conv2d", "groupconv"):
+            padding = data.draw(st.integers(0, 1), label=f"padding{i}")
+            kernel = 3 if shape[1] + 2 * padding >= 3 and rng.random() < 0.5 else 1
+            layer = ConvLayer(f"l{i}", f32(c_out, shape[0], kernel, kernel), bias,
+                              stride=data.draw(st.integers(1, 2), label=f"stride{i}"),
+                              padding=padding, activation=activation, compress=compress)
+        else:
+            layer = FcLayer(f"l{i}", f32(c_out, int(np.prod(shape))), bias,
+                            activation=activation, compress=compress)
+        if kind.startswith("group") or data.draw(st.booleans(), label=f"grouped{i}"):
+            layer.grouping = random_group_assignment(rng, c_out, int(rng.integers(1, 5)))
+            layer.mask = random_group_mask(rng, layer.grouping, layer.mask.shape[1])
+        elif data.draw(st.booleans(), label=f"masked{i}"):
+            layer.mask = rng.random(layer.mask.shape) < 0.6
+        apply_mask(layer)
+        layers.append(convert_layer(layer) if kind.startswith("group") else layer)
+        shape = layers[-1].out_shape(shape)
+    return Model(layers), input_shape
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_random_chains_of_every_kind_roundtrip(data):
+    """save -> load -> save writes the same bytes, and the reloaded model's
+    forward is bit-identical."""
+    model, shape = random_kind_chain(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = sgm_paths(Path(tmp) / "a"), sgm_paths(Path(tmp) / "b")
+        save_model(model, *first)
+        loaded = load_model(*first)
+        save_model(loaded, *second)
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()
+    x = np.random.default_rng(0).standard_normal((2, *shape)).astype(np.float32)
+    assert model.forward(x).tobytes() == loaded.forward(x).tobytes()
 
 
 DELETE = object()
