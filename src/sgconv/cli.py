@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .data import load_dataset
 from .deploy import (EquivalenceError, GranularityError, _layer_inputs, convert_model,
-                     count_flops, count_params, infer_input_shape, verify_equivalence)
+                     count_flops, count_params, verify_equivalence)
 from .io import ModelFormatError, load_model, save_model, sgm_paths
 from .pipeline import PruneSchedule, evaluate, run_algorithm1
 from .pruning import model_ratios
@@ -37,13 +38,8 @@ def cmd_prune(args) -> int:
     model = _load(args.model)
     dataset = load_dataset(args.data)
     test_set = load_dataset(args.test_data) if args.test_data else None
-    schedule = PruneSchedule(
-        num_groups=args.groups, step=args.step, target_conv=args.target_conv,
-        target_fc=args.target_fc, finetune=args.finetune,
-        local_epochs=args.local_epochs, global_epochs=args.global_epochs,
-        local_lr=args.local_lr, global_lr=args.global_lr,
-        batch_size=args.batch_size, seed=args.seed,
-    )
+    schedule = _schedule(args, num_groups=args.groups, step=args.step,
+                         target_conv=args.target_conv, target_fc=args.target_fc, seed=args.seed)
     pruned, report = run_algorithm1(model, dataset, schedule, test_dataset=test_set)
     manifest, blob = sgm_paths(args.out)
     save_model(pruned, manifest, blob)
@@ -60,7 +56,7 @@ def cmd_prune(args) -> int:
 def cmd_deploy(args) -> int:
     model = _load(args.model)
     deployed = convert_model(model)
-    shape = _parse_shape(args.input_shape) if args.input_shape else infer_input_shape(model)
+    shape = _input_shape(args, model)
     deviation = verify_equivalence(model, deployed, shape, n_inputs=args.check_inputs,
                                    seed=args.seed, tol=args.tolerance)
     manifest, blob = sgm_paths(args.out)
@@ -83,12 +79,7 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     model = _load(args.model)
-    if args.input_shape:
-        shape = _parse_shape(args.input_shape)
-    elif args.data:
-        shape = load_dataset(args.data).features.shape[1:]
-    else:
-        shape = infer_input_shape(model)
+    shape = _input_shape(args, model)
     info = {
         "schema_version": SWEEP_SCHEMA_VERSION,
         "params": count_params(model),
@@ -122,12 +113,8 @@ def cmd_report(args) -> int:
 def _sweep_cell(base_model, dataset, test_set, args, groups, step, scope, seed):
     target_conv = args.target if scope in ("both", "conv") else 0.0
     target_fc = args.target if scope in ("both", "fc") else 0.0
-    schedule = PruneSchedule(
-        num_groups=groups, step=step, target_conv=target_conv, target_fc=target_fc,
-        finetune=args.finetune, local_epochs=args.local_epochs,
-        global_epochs=args.global_epochs, local_lr=args.local_lr,
-        global_lr=args.global_lr, batch_size=args.batch_size, seed=seed,
-    )
+    schedule = _schedule(args, num_groups=groups, step=step, target_conv=target_conv,
+                         target_fc=target_fc, seed=seed)
     pruned, report = run_algorithm1(base_model, dataset, schedule, test_dataset=test_set)
     acc = report["accuracy_after"]
     return {
@@ -172,11 +159,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_shape(text):
-    parts = [int(v) for v in text.replace("x", ",").split(",") if v]
-    if not parts or any(v < 1 for v in parts):
-        raise ValueError(f"bad input shape {text!r}; want e.g. 3,8,8")
-    return tuple(parts)
+def _schedule(args, **cell) -> PruneSchedule:
+    """A schedule from the fine-tune flags prune and sweep share, and one
+    run's grouping, step, targets and seed (``cell``)."""
+    return PruneSchedule(finetune=args.finetune, local_epochs=args.local_epochs,
+                         global_epochs=args.global_epochs, local_lr=args.local_lr,
+                         global_lr=args.global_lr, batch_size=args.batch_size, **cell)
+
+
+def _input_shape(args, model):
+    """The per-sample shape deploy and report work at: --input-shape, else
+    report's --data, else the shape the model records."""
+    if args.input_shape:
+        parts = [int(v) for v in args.input_shape.replace("x", ",").split(",") if v]
+        if not parts or any(v < 1 for v in parts):
+            raise ValueError(f"bad input shape {args.input_shape!r}; want e.g. 3,8,8")
+        return tuple(parts)
+    if getattr(args, "data", None):
+        return load_dataset(args.data).features.shape[1:]
+    if model.input_shape is None:
+        raise ValueError("the model records no input shape; pass --input-shape")
+    return model.input_shape
 
 
 def _add_train_flags(sub):
@@ -208,28 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-conv", type=float, default=0.6)
     p.add_argument("--target-fc", type=float, default=0.6)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("deploy", help="convert masks into explicit group-conv blocks")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--input-shape", default=None, help="e.g. 3,8,8 (inferred when omitted)")
+    p.add_argument("--input-shape", default=None,
+                   help="e.g. 3,8,8 (the model's recorded shape when omitted)")
     p.add_argument("--check-inputs", type=int, default=100)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_deploy)
 
     p = sub.add_parser("eval", help="top-1/top-5 accuracy on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="parameter count, FLOPs, removal ratios")
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None)
     p.add_argument("--input-shape", default=None)
     p.add_argument("--json", default=None, help="also write the report as JSON")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="grid of (groups, step, scope) pipeline runs")
     p.add_argument("--model", required=True)
@@ -242,15 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma list of seeds")
     p.add_argument("--target", type=float, default=0.6)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
+# built on the first main call and reused: parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = _parser().parse_args(argv)
+    try:  # looked up by name at each call, so a rebound cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (GranularityError, EquivalenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -61,7 +61,8 @@ def convert_layer(layer):
 def convert_model(model: Model) -> Model:
     """Deploy: replace every compressible masked layer by group-conv blocks."""
     return Model(layers=[convert_layer(layer) if layer.compress
-                         else copy.deepcopy(layer) for layer in model.layers])
+                         else copy.deepcopy(layer) for layer in model.layers],
+                 input_shape=model.input_shape)
 
 
 def count_params(model: Model) -> int:
@@ -110,24 +111,6 @@ def batch_size_for(model: Model, input_shape) -> int:
     return max(1, min(MAX_BATCH, BATCH_MACS // max(largest, 1)))
 
 
-def infer_input_shape(model: Model, max_size: int = 64):
-    """Smallest input shape the model accepts, flat before spatial; used
-    when no dataset is given. When none fits, the error carries the layer
-    error that stopped the walk at the largest size tried."""
-    if not model.layers:
-        raise ValueError("a model without layers has no input shape")
-    c_in = model.layers[0].in_channels
-    for shape in [(c_in,), *((c_in, size, size) for size in range(1, max_size + 1))]:
-        try:
-            count_flops(model, shape)
-        except ValueError as exc:
-            error = exc
-            continue
-        return shape
-    raise ValueError(f"could not infer an input shape up to {max_size}x{max_size}: "
-                     f"at {shape}, {error}")
-
-
 def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
     """Standard-normal float32 inputs in batches that neither model's
     batch_size_for exceeds, each drawn as it is used from one generator:
@@ -160,11 +143,14 @@ def layer_deviations(model_a: Model, model_b: Model, input_shape,
     return devs
 
 
+def _output_deviation(devs) -> float:  # 0 for models without layers
+    return float(devs[-1]) if len(devs) else 0.0
+
+
 def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
                           n_inputs: int = 100, seed=0) -> float:
-    """The output deviation of layer_deviations; 0 for models without layers."""
-    devs = layer_deviations(model_a, model_b, input_shape, n_inputs, seed)
-    return float(devs[-1]) if len(devs) else 0.0
+    """The output deviation of layer_deviations."""
+    return _output_deviation(layer_deviations(model_a, model_b, input_shape, n_inputs, seed))
 
 
 def verify_equivalence(original: Model, deployed: Model, input_shape,
@@ -180,7 +166,7 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     if not tol >= 0:
         raise ValueError(f"equivalence tolerance must be a number >= 0, got tol={tol}")
     devs = layer_deviations(original, deployed, input_shape, n_inputs, seed)
-    dev = float(devs[-1]) if len(devs) else 0.0
+    dev = _output_deviation(devs)
     if not dev <= tol:  # then the output layer, at least, is over tolerance
         name, first = next((layer.name, d) for layer, d in zip(deployed.layers, devs)
                            if not d <= tol)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .deploy import _layer_inputs
 from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, MaskedLayer, Model,
                     validate_first_conv_uncompressed)
 
@@ -113,6 +114,8 @@ def save_model(model: Model, manifest_path, blob_path) -> None:
         records.append(rec)
     manifest = {"format_version": FORMAT_VERSION, "layers": records,
                 "masks": masks, "groupings": groupings}
+    if model.input_shape is not None:
+        manifest["input_shape"] = [int(v) for v in model.input_shape]
     Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                    encoding="utf-8")
     Path(blob_path).write_bytes(blob.bytes())
@@ -233,4 +236,14 @@ def load_model(manifest_path, blob_path) -> Model:
         validate_first_conv_uncompressed(model)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
+    if "input_shape" in manifest:
+        shape = manifest["input_shape"]
+        try:  # type() rejects true, and every layer in turn must take the shape
+            if not (isinstance(shape, list) and shape
+                    and all(type(v) is int and v >= 1 for v in shape)):
+                raise ValueError("want a non-empty list of integers >= 1")
+            list(_layer_inputs(model, shape))
+        except ValueError as exc:
+            raise ModelFormatError(f"{manifest_path}: input_shape {shape!r}: {exc}") from exc
+        model.input_shape = tuple(shape)
     return model

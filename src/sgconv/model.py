@@ -115,10 +115,6 @@ class MaskedLayer:
             self.mask = np.ones(self.weight.shape[:2], dtype=bool)
 
     @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
     def kernels(self) -> np.ndarray:
         """The weight viewed as (C_out, C_in, k, k)."""
         return self.weight.reshape(*self.weight.shape[:2], self.kernel, self.kernel)
@@ -347,10 +343,6 @@ class AffineLayer:
     def __post_init__(self):
         _check_settings(self)
 
-    @property
-    def in_channels(self) -> int:
-        return self.scale.size
-
     def _per_channel(self, v, ndim):
         return v.reshape(1, -1, *([1] * (ndim - 2)))
 
@@ -393,6 +385,7 @@ class AffineLayer:
 @dataclass
 class Model:
     layers: list = field(default_factory=list)
+    input_shape: tuple | None = None   # per-sample shape the model was pruned on
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -435,7 +428,7 @@ def build_toy_cnn(seed: int = 0, num_classes: int = 10) -> Model:
     def he(shape, fan_in):
         return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
 
-    return Model(layers=[
+    return Model(input_shape=(3, 8, 8), layers=[
         ConvLayer("conv1", he((8, 3, 3, 3), 3 * 9), np.zeros(8, np.float32),
                   activation="relu", compress=False),
         ConvLayer("conv2", he((8, 8, 3, 3), 8 * 9), np.zeros(8, np.float32),

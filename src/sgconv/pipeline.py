@@ -11,6 +11,7 @@ pass recovers accuracy. Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import ops
 from .data import Dataset
-from .deploy import batch_size_for, count_flops, count_params, infer_input_shape
+from .deploy import batch_size_for, count_flops, count_params
 from .grouping import Grouping, centroids_for, kmeans_cluster
 from .importance import layer_importance
 from .model import Model, apply_mask, validate_first_conv_uncompressed
@@ -279,27 +280,35 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
                    test_dataset: Dataset | None = None) -> tuple[Model, dict]:
     """Compress a model to the scheduled removal targets; returns (model, report).
 
-    The input model is not modified. When the targets require no pruning
-    at all, the model comes back unchanged (fine-tuning is skipped too).
+    The input model is not modified; the returned one records the dataset's
+    sample shape, or without a dataset keeps its own (ValueError if none).
+    When the targets require no pruning at all, the weights come back
+    unchanged (fine-tuning is skipped too).
     """
     schedule = copy.deepcopy(schedule)
     model = copy.deepcopy(model)
     validate_first_conv_uncompressed(model)
     if schedule.finetune != "none" and (dataset is None or len(dataset) == 0):
         raise ValueError("fine-tuning enabled but no dataset given")
+    if dataset is not None:
+        model.input_shape = tuple(int(v) for v in dataset.features.shape[1:])
+    elif model.input_shape is None:
+        raise ValueError("no dataset given and the model records no input shape")
 
     targets = {"conv2d": schedule.target_conv, "fc": schedule.target_fc}
     compressible = [l for l in model.layers if l.compress]
     eval_set = test_dataset if test_dataset is not None else dataset
+    # the local and global fine-tune passes share these settings
+    train_config = functools.partial(TrainConfig, batch_size=schedule.batch_size,
+                                     momentum=schedule.momentum,
+                                     weight_decay=schedule.weight_decay)
 
     t_start = time.perf_counter()
-    input_shape = dataset.features.shape[1:] if dataset is not None \
-        else infer_input_shape(model)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "schedule": asdict(schedule),
         "params_before": count_params(model),
-        "flops_before": count_flops(model, input_shape),
+        "flops_before": count_flops(model, model.input_shape),
         "accuracy_before": evaluate(model, eval_set) if eval_set is not None else None,
         "iterations": [],
         "timings": {},
@@ -332,12 +341,8 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         record.update(model_ratios(model))
         if schedule.finetune == "local+global":
             tick = time.perf_counter()
-            local_cfg = TrainConfig(epochs=schedule.local_epochs, lr=schedule.local_lr,
-                                    batch_size=schedule.batch_size,
-                                    momentum=schedule.momentum,
-                                    weight_decay=schedule.weight_decay,
-                                    seed=[schedule.seed, 22, t])
-            sgd_finetune(model, dataset, local_cfg)
+            sgd_finetune(model, dataset, train_config(
+                epochs=schedule.local_epochs, lr=schedule.local_lr, seed=[schedule.seed, 22, t]))
             local_seconds += time.perf_counter() - tick
         if eval_set is not None:
             record["accuracy"] = accuracy = evaluate(model, eval_set)
@@ -347,21 +352,17 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
     global_seconds = 0.0
     if schedule.finetune != "none" and report["iterations"]:
         tick = time.perf_counter()
-        global_cfg = TrainConfig(epochs=schedule.global_epochs, lr=schedule.global_lr,
-                                 batch_size=schedule.batch_size,
-                                 momentum=schedule.momentum,
-                                 weight_decay=schedule.weight_decay,
-                                 lr_milestones=schedule.global_milestones,
-                                 lr_decay=schedule.lr_decay,
-                                 seed=[schedule.seed, 33])
-        sgd_finetune(model, dataset, global_cfg)
+        sgd_finetune(model, dataset, train_config(
+            epochs=schedule.global_epochs, lr=schedule.global_lr,
+            lr_milestones=schedule.global_milestones, lr_decay=schedule.lr_decay,
+            seed=[schedule.seed, 33]))
         global_seconds = time.perf_counter() - tick
         accuracy = evaluate(model, eval_set) if eval_set is not None else None
 
     report["final"] = {**model_ratios(model),
                        "network_dead_fraction": model_dead_fraction(model)}
     report["params_after"] = count_params(model)
-    report["flops_after"] = count_flops(model, input_shape)
+    report["flops_after"] = count_flops(model, model.input_shape)
     report["accuracy_after"] = accuracy
     report["timings"] = {
         "prune_s": prune_seconds,

@@ -8,7 +8,7 @@ import pytest
 from sgconv import cli
 from sgconv.cli import main
 from sgconv.data import Dataset, make_blob_dataset, save_dataset
-from sgconv.deploy import convert_model
+from sgconv.deploy import convert_model, count_flops, verify_equivalence
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model,
                           build_toy_cnn)
@@ -149,7 +149,7 @@ def test_eval_of_a_last_conv_padded_past_the_cap_exits_2_naming_it(workspace, ca
 
 
 @pytest.mark.parametrize("command", ["report --input-shape 3,8,8", "eval --data {}/test.sgd",
-                                     "report"])  # no shape given: the guessed shapes all fail
+                                     "report"])
 def test_affine_narrower_than_its_input_exits_2_naming_the_layer(workspace, capsys, command):
     ones = np.ones(1, np.float32)  # one channel after a 4-channel conv
     model = Model([ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False),
@@ -158,7 +158,9 @@ def test_affine_narrower_than_its_input_exits_2_naming_the_layer(workspace, caps
     save_model(model, *sgm_paths(workspace / "narrow"))
     code = main([*command.format(workspace).split(), "--model", str(workspace / "narrow.sgm.json")])
     assert code == 2
-    assert "layer 'bn' expects 1 channels, got 4" in capsys.readouterr().err
+    # with no shape given, report needs a recorded one, and this model records none
+    expected = "--input-shape" if command == "report" else "layer 'bn' expects 1 channels, got 4"
+    assert expected in capsys.readouterr().err
 
 
 def test_report_prints_toy_params(workspace, capsys):
@@ -390,3 +392,96 @@ def test_report_ratios_of_deployed_model_match_pruned(workspace, capsys):
     assert "conv 0.0000" not in lines[1]
     fields = ("conv_ratio", "fc_ratio", "network_ratio")
     assert [docs[0][k] for k in fields] == [docs[1][k] for k in fields]
+
+
+def prune_strided_net(workspace):
+    """A net with a stride-2 conv, pruned through the CLI on 32x32 data; its
+    fc head also takes 31x31 inputs, the smallest square the layers accept."""
+    rng = np.random.default_rng(5)
+    model = Model([
+        ConvLayer("conv1", rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                  padding=1, activation="relu", compress=False),
+        ConvLayer("conv2", rng.standard_normal((6, 4, 3, 3)).astype(np.float32),
+                  stride=2, padding=1, activation="relu"),
+        FcLayer("fc1", rng.standard_normal((4, 6 * 16 * 16)).astype(np.float32) * 0.01)])
+    save_model(model, *sgm_paths(workspace / "strided"))
+    save_dataset(make_blob_dataset(24, num_classes=4, image_size=32, seed=6),
+                 workspace / "train32.sgd")
+    assert main(["prune", "--model", str(workspace / "strided"),
+                 "--data", str(workspace / "train32.sgd"), "--groups", "2", "--step", "0.5",
+                 "--target-conv", "0.5", "--target-fc", "0.5", "--finetune", "none",
+                 "--out", str(workspace / "sp")]) == 0
+
+
+def spy_checked_shapes(monkeypatch):
+    """The input shapes deploy's equivalence checks run at, as they are called."""
+    shapes = []
+
+    def spy(original, deployed, input_shape, **kwargs):
+        shapes.append(tuple(input_shape))
+        return verify_equivalence(original, deployed, input_shape, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_equivalence", spy)
+    return shapes
+
+
+def test_pruned_model_is_deployed_and_reported_at_its_data_shape(workspace, capsys,
+                                                                 monkeypatch):
+    prune_strided_net(workspace)
+    shapes = spy_checked_shapes(monkeypatch)
+    assert main(["deploy", "--model", str(workspace / "sp"),
+                 "--out", str(workspace / "sd")]) == 0
+    assert shapes == [(3, 32, 32)]
+    deployed = load_model(*sgm_paths(workspace / "sd"))
+    assert deployed.input_shape == (3, 32, 32)
+    capsys.readouterr()
+    assert main(["report", "--model", str(workspace / "sd")]) == 0
+    flops = count_flops(deployed, (3, 32, 32))
+    assert flops != count_flops(deployed, (3, 31, 31))
+    assert f"flops {flops}  (input (3, 32, 32))" in capsys.readouterr().out
+
+
+def test_deploy_input_shape_overrides_the_recorded_one(workspace, capsys, monkeypatch):
+    prune_strided_net(workspace)
+    shapes = spy_checked_shapes(monkeypatch)
+    assert main(["deploy", "--model", str(workspace / "sp"), "--out", str(workspace / "sd"),
+                 "--input-shape", "3,31,31"]) == 0
+    assert shapes == [(3, 31, 31)]
+    assert load_model(*sgm_paths(workspace / "sd")).input_shape == (3, 32, 32)
+
+
+@pytest.mark.parametrize("command", ["deploy", "report"])
+def test_model_without_a_shape_needs_input_shape(workspace, capsys, command):
+    prune_strided_net(workspace)  # the dense net it started from records no shape
+    assert "input_shape" not in json.loads((workspace / "strided.sgm.json").read_text())
+    argv = [command, "--model", str(workspace / "strided")]
+    if command == "deploy":
+        argv += ["--out", str(workspace / "sd")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "--input-shape" in capsys.readouterr().err
+    assert main([*argv, "--input-shape", "3,32,32"]) == 0
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(workspace, capsys):
+    toy, data = str(workspace / "toy"), str(workspace / "test.sgd")
+    calls = [["report", "--model", toy, "--input-shape", "3,8,8"],
+             ["eval", "--model", toy, "--data", data],
+             ["deploy", "--model", toy, "--out", str(workspace / "d"), "--check-inputs", "7"],
+             ["report", "--model", toy],
+             ["deploy", "--model", toy, "--out", str(workspace / "d")],
+             ["eval", "--model", toy, "--data", str(workspace / "absent.sgd")]]
+
+    def run_all(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        return results
+
+    reused = run_all(fresh=False)
+    assert cli._parser() is cli._parser()
+    assert reused == run_all(fresh=True)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2]
+    assert "over 7 inputs" in reused[2][1] and "over 100 inputs" in reused[4][1]

@@ -12,10 +12,9 @@ from conftest import random_chain_model
 from sgconv import deploy
 from sgconv.deploy import (GranularityError, convert_layer,
                            convert_model, count_flops, count_params,
-                           infer_input_shape, max_forward_deviation,
-                           verify_equivalence, EquivalenceError)
+                           max_forward_deviation, verify_equivalence, EquivalenceError)
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import (AffineLayer, ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
+from sgconv.model import (ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
                           build_toy_cnn)
 from sgconv.pruning import model_ratios
 
@@ -329,20 +328,6 @@ def test_flops_converted_not_more_than_original(rng):
                          if l.kind in ("conv2d", "fc"))
         if not pruned_any:
             assert conv == orig
-
-
-def test_infer_input_shape(toy_model):
-    assert infer_input_shape(toy_model) == (3, 8, 8)
-    fc_model = Model(layers=[FcLayer("f", np.zeros((3, 17), np.float32))])
-    assert infer_input_shape(fc_model) == (17,)
-    with pytest.raises(ValueError, match="without layers"):
-        infer_input_shape(Model(layers=[]))
-    ones = np.ones(1, np.float32)  # one channel after a 4-channel conv
-    narrow = Model([ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False),
-                    AffineLayer("bn", ones, ones)])
-    with pytest.raises(ValueError, match=r"up to 64x64: at \(3, 64, 64\), "
-                                         r"layer 'bn' expects 1 channels, got 4"):
-        infer_input_shape(narrow)
 
 
 def test_random_models_deploy_equivalent(rng):

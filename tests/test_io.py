@@ -255,11 +255,18 @@ BAD_VALUES = [
     ("fc-compress-string", "fc", "compress", "false"),
     ("fc-compress-int", "fc", "compress", 0),
     ("conv2d-name-number", "conv2d", "name", 5),
+    # the manifest's top-level input_shape
+    ("input-shape-not-a-list", "manifest", "input_shape", "3,8,8"),
+    ("input-shape-float", "manifest", "input_shape", [3, 8.5, 8]),  # 8 would fit
+    ("input-shape-true", "manifest", "input_shape", [True, 8, 8]),
+    ("input-shape-zero", "manifest", "input_shape", [3, 0, 8]),
+    ("input-shape-first-layer-rejects", "manifest", "input_shape", [4, 8, 8]),
 ]
 
 
 def every_kind_model(rng):
-    """conv -> affine -> pruned conv -> group conv -> pruned fc -> group fc."""
+    """conv -> affine -> pruned conv -> group conv -> pruned fc -> group fc,
+    recording its 3x8x8 input shape."""
     def f32(*shape):
         return rng.standard_normal(shape).astype(np.float32)
 
@@ -271,7 +278,7 @@ def every_kind_model(rng):
 
     group_conv = pruned(ConvLayer("gconv", f32(6, 6, 1, 1), f32(6)))
     group_fc = pruned(FcLayer("gfc", f32(3, 5), f32(3)))
-    return Model(layers=[
+    return Model(input_shape=(3, 8, 8), layers=[
         ConvLayer("conv1", f32(4, 3, 3, 3), f32(4), activation="relu", compress=False),
         AffineLayer("bn", f32(4), f32(4)),
         pruned(ConvLayer("conv2", f32(6, 4, 3, 3), f32(6), activation="relu")),
@@ -339,19 +346,20 @@ def random_kind_chain(data):
         apply_mask(layer)
         layers.append(convert_layer(layer) if kind.startswith("group") else layer)
         shape = layers[-1].out_shape(shape)
-    return Model(layers), input_shape
+    return Model(layers, input_shape), input_shape
 
 
 @settings(max_examples=150)
 @given(data=st.data())
 def test_random_chains_of_every_kind_roundtrip(data):
-    """save -> load -> save writes the same bytes, and the reloaded model's
-    forward is bit-identical."""
+    """save -> load -> save writes the same bytes, recorded input shape
+    included, and the reloaded model's forward is bit-identical."""
     model, shape = random_kind_chain(data)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = sgm_paths(Path(tmp) / "a"), sgm_paths(Path(tmp) / "b")
         save_model(model, *first)
         loaded = load_model(*first)
+        assert loaded.input_shape == shape
         save_model(loaded, *second)
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
@@ -375,7 +383,9 @@ def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key,
     if where == "layers":
         doc["layers"] = {rec["name"]: rec for rec in doc["layers"]}
     else:
-        if where in ("masks", "groupings"):
+        if where == "manifest":
+            records = [doc]
+        elif where in ("masks", "groupings"):
             records = list(doc[where].values())
         elif where == "groups":
             records = [rec["groups"][0] for rec in doc["layers"] if "groups" in rec]
@@ -541,6 +551,7 @@ def test_several_bad_manifest_fields_at_once_exit_0_or_2(fields_workdir, data):
         "groups": [g for rec in doc["layers"] for g in rec.get("groups", [])],
         "masks": list(doc["masks"].values()),
         "groupings": list(doc["groupings"].values()),
+        "manifest": [doc],
     }
     cases = data.draw(st.lists(st.sampled_from(BAD_VALUES), min_size=2, max_size=4,
                                unique_by=lambda case: case[1:3]))

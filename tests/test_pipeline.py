@@ -354,6 +354,21 @@ def test_non_finite_importance_names_the_layer():
         run_algorithm1(model, None, sched)
 
 
+def test_pruned_model_records_its_sample_shape():
+    sched = PruneSchedule(step=0.5, target_conv=0.5, target_fc=0.5, finetune="none", seed=0)
+    model = Model([ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False),
+                   FcLayer("fc1", np.ones((2, 4 * 10 * 10), np.float32))])
+    data = make_blob_dataset(8, image_size=12, seed=1)
+    pruned, report = run_algorithm1(model, data, sched)
+    assert model.input_shape is None and pruned.input_shape == (3, 12, 12)
+    # without a dataset, the recorded shape is used; with neither, nothing is guessed
+    again, again_report = run_algorithm1(pruned, None, sched)
+    assert again.input_shape == (3, 12, 12)
+    assert again_report["flops_before"] == report["flops_before"]
+    with pytest.raises(ValueError, match="no dataset given and the model records no input shape"):
+        run_algorithm1(model, None, sched)
+
+
 def test_finetune_requires_dataset():
     model = build_toy_cnn(15)
     with pytest.raises(ValueError, match="dataset"):
