@@ -11,9 +11,9 @@ import numpy as np
 
 from sgconv.grouping import centroids_for, kmeans_cluster
 from sgconv.importance import layer_importance
-from sgconv.model import FcLayer
-from sgconv.pruning import (compression_ratio_layer, kill_bundles, mask_dead_fraction,
-                            partial_elements, prune_to_ratio, pruned_elements)
+from sgconv.model import FcLayer, mask_dead_fraction
+from sgconv.pruning import (compression_ratio_layer, kill_bundles, partial_elements,
+                            prune_to_ratio, pruned_elements)
 
 rng = np.random.default_rng(3)
 layer = FcLayer("demo", rng.standard_normal((12, 16)).astype(np.float32))

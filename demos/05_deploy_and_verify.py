@@ -11,7 +11,7 @@ from sgconv.data import make_blob_dataset
 from sgconv.deploy import (convert_model, count_flops, count_params,
                            verify_equivalence)
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import build_toy_cnn
+from sgconv.model import GroupConvLayer, build_toy_cnn
 from sgconv.pipeline import PruneSchedule, TrainConfig, run_algorithm1, sgd_finetune
 
 train = make_blob_dataset(500, seed=21)
@@ -32,7 +32,7 @@ for name, m in [("original", model), ("pruned", pruned), ("deployed", deployed)]
     print(f"{name:<10} {count_params(m):>8} {count_flops(m, shape):>8}")
 
 for layer in deployed.layers:
-    if layer.kind == "groupconv":
+    if isinstance(layer, GroupConvLayer):
         sizes = [(len(g.filter_indices), len(g.channel_indices)) for g in layer.groups]
         print(f"\n{layer.name}: {len(layer.groups)} blocks (filters x channels): {sizes}")
         gathered = np.concatenate([g.channel_indices for g in layer.groups])

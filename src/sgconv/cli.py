@@ -15,10 +15,11 @@ import sys
 from pathlib import Path
 
 from .data import load_dataset
-from .deploy import (EquivalenceError, GranularityError, _layer_inputs, convert_model,
-                     count_flops, count_params, verify_equivalence)
+from .deploy import (CHECK_INPUTS, CHECK_SEED, CHECK_TOLERANCE, EquivalenceError,
+                     GranularityError, convert_model, count_flops, count_params,
+                     verify_equivalence)
 from .io import ModelFormatError, load_model, save_model, sgm_paths
-from .pipeline import PruneSchedule, evaluate, run_algorithm1
+from .pipeline import FINETUNE_MODES, PruneSchedule, evaluate, run_algorithm1
 from .pruning import model_ratios
 
 SWEEP_SCHEMA_VERSION = 1
@@ -87,7 +88,7 @@ def cmd_report(args) -> int:
         "input_shape": list(int(v) for v in shape),
         **model_ratios(model),
         "layers": [{"name": layer.name, "kind": layer.kind, **layer.describe(layer_shape)}
-                   for layer, layer_shape in _layer_inputs(model, shape)],
+                   for layer, layer_shape in model.layer_inputs(shape)],
     }
     if args.json:
         Path(args.json).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n",
@@ -183,14 +184,13 @@ def _input_shape(args, model):
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--finetune", choices=["none", "global", "local+global"],
-                     default="global")
-    sub.add_argument("--local-epochs", type=int, default=4)
-    sub.add_argument("--local-lr", type=float, default=1e-3)
-    sub.add_argument("--global-epochs", type=int, default=20)
-    sub.add_argument("--global-lr", type=float, default=0.01)
-    sub.add_argument("--batch-size", type=int, default=32)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--finetune", choices=FINETUNE_MODES, default=PruneSchedule.finetune)
+    sub.add_argument("--local-epochs", type=int, default=PruneSchedule.local_epochs)
+    sub.add_argument("--local-lr", type=float, default=PruneSchedule.local_lr)
+    sub.add_argument("--global-epochs", type=int, default=PruneSchedule.global_epochs)
+    sub.add_argument("--global-lr", type=float, default=PruneSchedule.global_lr)
+    sub.add_argument("--batch-size", type=int, default=PruneSchedule.batch_size)
+    sub.add_argument("--seed", type=int, default=PruneSchedule.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-data", default=None, help="held-out dataset for accuracy reports")
     p.add_argument("--out", required=True, help="output model prefix")
     p.add_argument("--report", default=None, help="report path (default <out>.report.json)")
-    p.add_argument("--groups", type=int, default=8)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--target-conv", type=float, default=0.6)
-    p.add_argument("--target-fc", type=float, default=0.6)
+    p.add_argument("--groups", type=int, default=PruneSchedule.num_groups)
+    p.add_argument("--step", type=float, default=PruneSchedule.step)
+    p.add_argument("--target-conv", type=float, default=PruneSchedule.target_conv)
+    p.add_argument("--target-fc", type=float, default=PruneSchedule.target_fc)
     _add_train_flags(p)
 
     p = sub.add_parser("deploy", help="convert masks into explicit group-conv blocks")
@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--input-shape", default=None,
                    help="e.g. 3,8,8 (the model's recorded shape when omitted)")
-    p.add_argument("--check-inputs", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--check-inputs", type=int, default=CHECK_INPUTS)
+    p.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE)
+    p.add_argument("--seed", type=int, default=CHECK_SEED)
 
     p = sub.add_parser("eval", help="top-1/top-5 accuracy on a dataset")
     p.add_argument("--model", required=True)
@@ -236,11 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--test-data", default=None)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--groups", default="2,8", help="comma list of group counts")
-    p.add_argument("--steps", default="0.05,0.3", help="comma list of pruning steps")
+    p.add_argument("--groups", default=f"2,{PruneSchedule.num_groups}",
+                   help="comma list of group counts")
+    p.add_argument("--steps", default=f"{PruneSchedule.step},0.3",
+                   help="comma list of pruning steps")
     p.add_argument("--scopes", default="both", help="comma list from both,conv,fc")
-    p.add_argument("--seeds", default="0", help="comma list of seeds")
-    p.add_argument("--target", type=float, default=0.6)
+    p.add_argument("--seeds", default=str(PruneSchedule.seed), help="comma list of seeds")
+    p.add_argument("--target", type=float, default=PruneSchedule.target_conv)
     _add_train_flags(p)
     return parser
 

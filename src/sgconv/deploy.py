@@ -70,16 +70,6 @@ def count_params(model: Model) -> int:
     return sum(layer.params() for layer in model.layers)
 
 
-def _layer_inputs(model: Model, input_shape):
-    """Each layer with its per-sample input shape, walking the sample shape
-    through the model; a layer that cannot take its input raises ValueError by name."""
-    shape = tuple(int(v) for v in input_shape)
-    for layer in model.layers:
-        out_shape = layer.out_shape(shape)
-        yield layer, shape
-        shape = out_shape
-
-
 def count_flops(model: Model, input_shape) -> int:
     """FLOPs of one forward pass at the given input shape, as 2 x MACs.
 
@@ -87,7 +77,7 @@ def count_flops(model: Model, input_shape) -> int:
     the dense kernel cheaper); group-conv layers are billed per block at
     gathered-channel sizes. Bias adds are not counted.
     """
-    return 2 * sum(layer.macs(shape) for layer, shape in _layer_inputs(model, input_shape))
+    return 2 * sum(layer.macs(shape) for layer, shape in model.layer_inputs(input_shape))
 
 
 # Most multiply-adds any one layer may run for a whole batch that the
@@ -107,7 +97,7 @@ def batch_size_for(model: Model, input_shape) -> int:
     GEMM is sized by that GEMM, as its masked source is. Walks the shapes as
     count_flops does and raises the same named errors."""
     largest = max((layer.executed_macs(shape)
-                   for layer, shape in _layer_inputs(model, input_shape)), default=0)
+                   for layer, shape in model.layer_inputs(input_shape)), default=0)
     return max(1, min(MAX_BATCH, BATCH_MACS // max(largest, 1)))
 
 
@@ -121,8 +111,13 @@ def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
         yield rng.standard_normal((min(step, n_inputs - lo), *input_shape)).astype(np.float32)
 
 
+# the equivalence check's inputs, their seed and its tolerance, unless a
+# caller gives them; `sgconv deploy` takes its defaults from here
+CHECK_INPUTS, CHECK_SEED, CHECK_TOLERANCE = 100, 0, 1e-5
+
+
 def layer_deviations(model_a: Model, model_b: Model, input_shape,
-                     n_inputs: int = 100, seed=0) -> np.ndarray:
+                     n_inputs: int = CHECK_INPUTS, seed=CHECK_SEED) -> np.ndarray:
     """Largest |a - b| of each layer's outputs (NaN if any is NaN), running
     the two models side by side, layer by layer, on random standard-normal
     inputs; the last entry is the output deviation. The models must have
@@ -143,19 +138,11 @@ def layer_deviations(model_a: Model, model_b: Model, input_shape,
     return devs
 
 
-def _output_deviation(devs) -> float:  # 0 for models without layers
-    return float(devs[-1]) if len(devs) else 0.0
-
-
-def max_forward_deviation(model_a: Model, model_b: Model, input_shape,
-                          n_inputs: int = 100, seed=0) -> float:
-    """The output deviation of layer_deviations."""
-    return _output_deviation(layer_deviations(model_a, model_b, input_shape, n_inputs, seed))
-
-
 def verify_equivalence(original: Model, deployed: Model, input_shape,
-                       n_inputs: int = 100, seed=0, tol: float = 1e-5) -> float:
-    """Check deployed outputs against the masked dense forward, or raise.
+                       n_inputs: int = CHECK_INPUTS, seed=CHECK_SEED,
+                       tol: float = CHECK_TOLERANCE) -> float:
+    """Check deployed outputs against the masked dense forward, or raise;
+    returns the output deviation of layer_deviations (0 without layers).
 
     A NaN deviation fails the check: NaN outputs prove no equivalence.
     The models run side by side once, so a failed check's error names
@@ -166,7 +153,7 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     if not tol >= 0:
         raise ValueError(f"equivalence tolerance must be a number >= 0, got tol={tol}")
     devs = layer_deviations(original, deployed, input_shape, n_inputs, seed)
-    dev = _output_deviation(devs)
+    dev = float(devs[-1]) if len(devs) else 0.0
     if not dev <= tol:  # then the output layer, at least, is over tolerance
         name, first = next((layer.name, d) for layer, d in zip(deployed.layers, devs)
                            if not d <= tol)

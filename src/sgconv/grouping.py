@@ -88,11 +88,14 @@ def _repair_empty(assignment, vectors, centroids, num_groups):
     return assignment
 
 
-def _lloyd(vectors, num_groups, rng, max_iter):
+MAX_LLOYD_ITERATIONS = 300  # per restart; Lloyd stops earlier once an assignment repeats
+
+
+def _lloyd(vectors, num_groups, rng):
     centroids = _kmeanspp_init(vectors, num_groups, rng)
     prev = None
     trace = []
-    for _ in range(max_iter):
+    for _ in range(MAX_LLOYD_ITERATIONS):
         assignment = np.argmin(_sq_distances(vectors, centroids), axis=1)  # ties: lowest id
         assignment = _repair_empty(assignment, vectors, centroids, num_groups)
         centroids = centroids_for(vectors, assignment, num_groups)
@@ -201,21 +204,18 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     return assignment
 
 
-def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *,
-                   restarts: int = 8, max_iter: int = 300) -> Grouping:
+def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *, restarts: int = 8) -> Grouping:
     """Cluster importance vectors into num_groups groups.
 
     Deterministic for a given (vectors, num_groups, seed). num_groups is
-    clamped to the number of vectors; fewer than one group, restart or
-    Lloyd iteration is an error, and so is a NaN or infinite entry. The
-    restarts stop at one whose objective is exactly 0, which none can beat.
+    clamped to the number of vectors; fewer than one group or restart is
+    an error, and so is a NaN or infinite entry. The restarts stop at one
+    whose objective is exactly 0, which none can beat.
     """
     if num_groups < 1:
         raise ValueError(f"num_groups must be >= 1, got {num_groups}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     vectors = np.asarray(vectors, dtype=np.float64)
     if not np.isfinite(vectors).all():
         raise ValueError("importance vectors must be finite (NaN or inf found)")
@@ -223,7 +223,7 @@ def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *,
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        assignment, _, trace = _lloyd(vectors, num_groups, rng, max_iter)
+        assignment, _, trace = _lloyd(vectors, num_groups, rng)
         assignment = _refine_unsquared(vectors, assignment, num_groups)
         centroids = centroids_for(vectors, assignment, num_groups)
         objective = float(np.sqrt(((vectors - centroids[assignment]) ** 2)

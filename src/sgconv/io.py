@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .deploy import _layer_inputs
 from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, MaskedLayer, Model,
                     validate_first_conv_uncompressed)
 
@@ -238,11 +237,10 @@ def load_model(manifest_path, blob_path) -> Model:
         raise ModelFormatError(str(exc)) from exc
     if "input_shape" in manifest:
         shape = manifest["input_shape"]
-        try:  # type() rejects true, and every layer in turn must take the shape
-            if not (isinstance(shape, list) and shape
-                    and all(type(v) is int and v >= 1 for v in shape)):
-                raise ValueError("want a non-empty list of integers >= 1")
-            list(_layer_inputs(model, shape))
+        try:  # type() rejects true, and every layer in turn must take the shape ([]: scalars)
+            if not (isinstance(shape, list) and all(type(v) is int and v >= 1 for v in shape)):
+                raise ValueError("want a list of integers >= 1")
+            list(model.layer_inputs(shape))
         except ValueError as exc:
             raise ModelFormatError(f"{manifest_path}: input_shape {shape!r}: {exc}") from exc
         model.input_shape = tuple(shape)

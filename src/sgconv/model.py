@@ -1,4 +1,4 @@
-"""Model container: typed layer records and whole-model forward.
+"""Model container: typed layer records, whole-model forward and shape walk.
 
 A model is an ordered list of layer records. Each layer kind is one class
 with the five methods callers use instead of branching on ``kind``:
@@ -91,7 +91,7 @@ def _flat_out_shape(name, shape, c_in, c_out):
 
 
 def flatten_batch(x, width, name):
-    if x.ndim > 2:
+    if x.ndim != 2:  # (N,) scalar samples too: each is one value wide
         x = x.reshape(x.shape[0], -1)
     if x.shape[1] != width:
         raise ValueError(f"{name}: input width {x.shape[1]} != expected {width}")
@@ -353,9 +353,10 @@ class AffineLayer:
         return (dz * self._per_channel(self.scale, dz.ndim) if need_dx else None), None
 
     def out_shape(self, shape):
-        if shape[0] != self.scale.size:
+        channels = shape[0] if shape else "no channel axis"
+        if channels != self.scale.size:
             raise ValueError(f"layer {self.name!r} expects {self.scale.size} channels, "
-                             f"got {shape[0]}")
+                             f"got {channels}")
         return tuple(shape)
 
     def to_record(self, add):  # the shift takes the bias range
@@ -391,6 +392,15 @@ class Model:
         for layer in self.layers:
             x = layer_forward(layer, x)
         return x
+
+    def layer_inputs(self, input_shape):
+        """Each layer with its per-sample input shape, walking ``input_shape``
+        through the model; a layer that cannot take its input raises ValueError by name."""
+        shape = tuple(int(v) for v in input_shape)
+        for layer in self.layers:
+            out_shape = layer.out_shape(shape)
+            yield layer, shape
+            shape = out_shape
 
     def layer(self, name: str):
         for layer in self.layers:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 
@@ -41,12 +42,9 @@ class TrainConfig:
     lr_milestones: tuple = ()          # epochs at which lr is multiplied by lr_decay
     lr_decay: float = 0.1
     seed: object = 0                   # int or sequence of ints
-    shuffle: bool = True
 
     def __post_init__(self):
-        _check_finetune_settings({"epochs": self.epochs}, {"lr": self.lr}, self.batch_size)
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        _check_finetune_settings(self, ("epochs",), ("lr",), "lr_milestones")
 
 
 @dataclass
@@ -85,22 +83,30 @@ class PruneSchedule:
                 )
         if self.finetune not in FINETUNE_MODES:
             raise ValueError(f"finetune must be one of {FINETUNE_MODES}, got {self.finetune!r}")
-        _check_finetune_settings(
-            {"local_epochs": self.local_epochs, "global_epochs": self.global_epochs},
-            {"local_lr": self.local_lr, "global_lr": self.global_lr}, self.batch_size)
+        _check_finetune_settings(self, ("local_epochs", "global_epochs"),
+                                 ("local_lr", "global_lr"), "global_milestones")
 
 
-def _check_finetune_settings(epochs: dict, lrs: dict, batch_size: int) -> None:
-    """Reject negative epoch counts, negative or non-finite learning rates
-    and batch sizes below 1, naming the setting."""
-    for key, value in epochs.items():
-        if value < 0:
-            raise ValueError(f"{key} must be >= 0, got {value}")
-    for key, value in lrs.items():
+def _check_finetune_settings(config, epochs: tuple, lrs: tuple, milestones: str) -> None:
+    """Reject a fine-tune setting of ``config`` that no SGD run can use, naming
+    its field: an ``epochs`` field below 0; an ``lrs`` field, weight_decay or
+    lr_decay that is negative or not finite; a batch_size below 1; a momentum
+    outside [0, 1); a ``milestones`` field that is not a sequence of integers >= 0."""
+    for key in epochs:
+        if getattr(config, key) < 0:
+            raise ValueError(f"{key} must be >= 0, got {getattr(config, key)}")
+    for key in (*lrs, "weight_decay", "lr_decay"):
+        value = getattr(config, key)
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{key} must be finite and >= 0, got {value}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if config.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not 0 <= config.momentum < 1:
+        raise ValueError(f"momentum must be in [0, 1), got {config.momentum}")
+    steps = getattr(config, milestones)
+    if not isinstance(steps, (tuple, list)) or not all(
+            isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0 for m in steps):
+        raise ValueError(f"{milestones} must be a sequence of integers >= 0, got {steps!r}")
 
 
 def _softmax_cross_entropy(logits, labels):
@@ -163,7 +169,7 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
     for epoch in range(config.epochs):
         total_loss = 0.0
         lr = config.lr * config.lr_decay ** sum(epoch >= m for m in config.lr_milestones)
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             x, y = dataset.features[idx], dataset.labels[idx]
@@ -196,25 +202,21 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
     return losses
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int | None = None) -> dict:
+def evaluate(model: Model, dataset: Dataset) -> dict:
     """Top-1 accuracy, plus top-5 when the label space has >= 5 classes.
 
     Argmax ties resolve to the lowest class index. The dataset is forwarded
-    ``batch_size`` samples at a time; None sizes the batches by
-    ``batch_size_for``: the largest, at most 512, for which no layer runs
-    more than ``deploy.BATCH_MACS`` multiply-adds per batch. Conv and affine
-    outputs do not depend on the batch size, fc logits only in their last
-    bits.
+    in batches sized by ``batch_size_for``: the largest, at most 512, for
+    which no layer runs more than ``deploy.BATCH_MACS`` multiply-adds per
+    batch. Conv and affine outputs do not depend on the batch size, fc
+    logits only in their last bits.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    # walk the sample shape through every layer first: a sample the model cannot
-    # take fails here by the layer's name, not inside a forward or its allocation
-    sized = batch_size_for(model, dataset.features.shape[1:])
-    batch_size = batch_size or sized
+    # sizing walks the sample shape through every layer first: a sample the model
+    # cannot take fails here by the layer's name, not inside a forward or its allocation
+    batch_size = batch_size_for(model, dataset.features.shape[1:])
     top1 = 0
     top5 = 0
     want_top5 = dataset.num_classes >= 5
@@ -319,7 +321,7 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
 
     def kinds_pending():
         return [kind for kind, target in targets.items()
-                if target > 0 and any(l.kind == kind for l in compressible)
+                if target > 0 and any(l.ratio_kind == kind for l in compressible)
                 and model_dead_fraction(model, kind) < target - RATIO_EPS]
 
     prune_seconds = 0.0
@@ -335,7 +337,7 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         tick = time.perf_counter()
         record = {"t": t, "layers": {}}
         for index, layer in enumerate(compressible):
-            if layer.kind in pending:
+            if layer.ratio_kind in pending:
                 record["layers"][layer.name] = _prune_layer(layer, schedule, t, index)
         prune_seconds += time.perf_counter() - tick
         record.update(model_ratios(model))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grouping import group_sizes
-from .model import apply_mask, mask_dead_fraction  # mask_dead_fraction: re-exported here
+from .model import apply_mask
 
 # float slack when comparing achieved ratios against accumulated t*s targets
 RATIO_EPS = 1e-9

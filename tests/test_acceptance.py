@@ -10,14 +10,14 @@ import pytest
 from conftest import random_chain_model, random_group_assignment, random_group_mask
 from sgconv import ops
 from sgconv.data import make_blob_dataset
-from sgconv.deploy import convert_model, max_forward_deviation
+from sgconv.deploy import convert_model, layer_deviations
 from sgconv.grouping import kmeans_cluster
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import FcLayer, build_toy_cnn
+from sgconv.model import FcLayer, build_toy_cnn, mask_dead_fraction
 from sgconv.pipeline import PruneSchedule, TrainConfig, evaluate, run_algorithm1, \
     sgd_finetune
 from sgconv.pruning import (compression_ratio_layer, compression_ratio_network, group_sizes,
-                            mask_dead_fraction, prune_to_ratio, pruned_elements)
+                            prune_to_ratio, pruned_elements)
 from test_grouping import brute_force_two_groups
 from test_ops import central_diff, rel_error
 from test_pruning import sort_oracle
@@ -39,7 +39,7 @@ def test_criterion_1_deployment_equivalence():
         rng = np.random.default_rng(5000 + trial)
         model, shape = random_chain_model(rng, max_layers=4, max_channels=32)
         deployed = convert_model(model)
-        dev = max_forward_deviation(model, deployed, shape, n_inputs=100, seed=trial)
+        dev = layer_deviations(model, deployed, shape, n_inputs=100, seed=trial)[-1]
         worst = max(worst, dev)
     check("1 deployment equivalence", worst <= 1e-5,
           f"max abs deviation {worst:.2e} <= 1e-5 over 20 models x 100 inputs",

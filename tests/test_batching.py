@@ -73,8 +73,13 @@ def test_split_changes_no_accuracy_and_no_conv_or_affine_bit(seed, count, num_cl
     model, shape = random_net(rng, num_classes)
     x = rng.standard_normal((count, *shape)).astype(np.float32)
     dataset = Dataset(x, rng.integers(0, num_classes, count).astype(np.int32), num_classes)
-    with mock.patch.object(deploy, "BATCH_MACS", batch_macs):
-        results = [evaluate(model, dataset, batch_size=b) for b in (1, 2, 7, None, 512)]
+    # batches of 1, 2, 7, as batch_macs allows and 512: evaluate takes its
+    # batch size from batch_size_for, so each comes from its own budget
+    largest = largest_layer_macs(model, shape)
+    results = []
+    for budget in (largest, 2 * largest, 7 * largest, batch_macs, 512 * largest):
+        with mock.patch.object(deploy, "BATCH_MACS", budget):
+            results.append(evaluate(model, dataset))
     assert all(r == results[0] for r in results[1:]), results
 
     cuts = np.sort(rng.integers(0, count + 1, int(rng.integers(1, 4))))

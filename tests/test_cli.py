@@ -126,6 +126,36 @@ def test_eval_of_0d_samples_exits_2_naming_the_layer(workspace, capsys):
     assert "layer 'fc1' expects width 4, got 1" in capsys.readouterr().err
 
 
+def save_scalar_samples(workspace):
+    save_dataset(Dataset(np.arange(4, dtype=np.float32), np.array([0, 1, 0, 1], np.int32), 2),
+                 workspace / "scalars.sgd")
+    return str(workspace / "scalars.sgd")
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_affine_first_model_on_scalar_samples_exits_2_naming_it(workspace, capsys, command):
+    ones = np.ones(1, np.float32)
+    save_model(Model([AffineLayer("bn", ones, ones), FcLayer("fc1", np.ones((2, 1), np.float32))]),
+               *sgm_paths(workspace / "affine"))
+    code = main([command, "--model", str(workspace / "affine"),
+                 "--data", save_scalar_samples(workspace)])
+    assert code == 2
+    assert "layer 'bn' expects 1 channels, got no channel axis" in capsys.readouterr().err
+
+
+def test_fc_first_model_of_width_1_runs_on_scalar_samples(workspace, capsys):
+    weight = np.array([[-1.0], [1.0]], np.float32)  # class 1 for samples above 0.25
+    save_model(Model([FcLayer("fc1", weight, np.array([0.5, 0], np.float32))]),
+               *sgm_paths(workspace / "fc"))
+    data = save_scalar_samples(workspace)
+    assert main(["eval", "--model", str(workspace / "fc"), "--data", data]) == 0
+    assert capsys.readouterr().out == "top1 0.7500\n"
+    assert main(["prune", "--model", str(workspace / "fc"), "--data", data, "--groups", "2",
+                 "--step", "0.5", "--target-conv", "0", "--target-fc", "0.5",
+                 "--global-epochs", "1", "--out", str(workspace / "pruned")]) == 0
+    assert load_model(*sgm_paths(workspace / "pruned")).layer("fc1").mask.sum() == 1
+
+
 def test_eval_with_huge_padding_exits_2_before_allocating(workspace, capsys):
     manifest = workspace / "toy.sgm.json"
     doc = json.loads(manifest.read_text())

@@ -12,7 +12,7 @@ from conftest import random_chain_model
 from sgconv import deploy
 from sgconv.deploy import (GranularityError, convert_layer,
                            convert_model, count_flops, count_params,
-                           max_forward_deviation, verify_equivalence, EquivalenceError)
+                           layer_deviations, verify_equivalence, EquivalenceError)
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import (ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
                           build_toy_cnn)
@@ -113,8 +113,6 @@ def test_convert_pruned_toy_matches_masked_dense(rng):
     fc.mask[np.ix_(fc.grouping == 1, np.arange(1, 128, 2))] = False
     apply_mask(fc)
     deployed = convert_model(model)
-    dev = max_forward_deviation(model, deployed, (3, 8, 8), n_inputs=100, seed=0)
-    assert dev <= 1e-5
     assert verify_equivalence(model, deployed, (3, 8, 8), seed=0) <= 1e-5
 
 
@@ -132,7 +130,7 @@ def test_convert_strided_padded_conv(rng):
     apply_mask(c2)
     deployed = convert_model(model)
     assert deployed.layer("c2").stride == 2 and deployed.layer("c2").padding == 1
-    dev = max_forward_deviation(model, deployed, (3, 16, 16), n_inputs=50, seed=1)
+    dev = layer_deviations(model, deployed, (3, 16, 16), n_inputs=50, seed=1)[-1]
     assert dev <= 1e-5
 
 
@@ -203,7 +201,7 @@ def test_equivalence_check_needs_an_input():
 
 def test_models_without_layers_deviate_by_0():
     empty = Model(layers=[])
-    assert max_forward_deviation(empty, empty, (3, 4, 4)) == 0.0
+    assert layer_deviations(empty, empty, (3, 4, 4)).size == 0
     assert verify_equivalence(empty, empty, (3, 4, 4)) == 0.0
 
 
@@ -251,10 +249,10 @@ def test_many_batch_deviation_of_a_conv_net_equals_the_whole_batch_one(monkeypat
     model = Model(layers=toy.layers[:2])  # conv1 and conv2: no fc layer
     deployed = corrupt_first_block(convert_model(toy), "conv2", delta=1e-3)
     deployed = Model(layers=deployed.layers[:2])
-    whole = max_forward_deviation(model, deployed, (3, 8, 8), n_inputs=100, seed=4)
+    whole = layer_deviations(model, deployed, (3, 8, 8), n_inputs=100, seed=4)[-1]
     toy_in_batches_of_7(monkeypatch, toy)
     assert deploy.batch_size_for(model, (3, 8, 8)) == 7
-    assert max_forward_deviation(model, deployed, (3, 8, 8), n_inputs=100, seed=4) == whole
+    assert layer_deviations(model, deployed, (3, 8, 8), n_inputs=100, seed=4)[-1] == whole
     assert whole > 0
 
 
@@ -336,7 +334,7 @@ def test_random_models_deploy_equivalent(rng):
         local = np.random.default_rng(100 + trial)
         model, shape = random_chain_model(local)
         deployed = convert_model(model)
-        dev = max_forward_deviation(model, deployed, shape, n_inputs=25, seed=trial)
+        dev = layer_deviations(model, deployed, shape, n_inputs=25, seed=trial)[-1]
         assert dev <= 1e-5
 
 
@@ -358,7 +356,7 @@ def test_conversion_properties_over_random_chains(seed):
     the removal ratios of the model it was deployed from."""
     model, shape = random_chain_model(np.random.default_rng(seed))
     deployed = convert_model(model)
-    assert max_forward_deviation(model, deployed, shape, n_inputs=8, seed=seed) <= 1e-5
+    assert layer_deviations(model, deployed, shape, n_inputs=8, seed=seed)[-1] <= 1e-5
     with tempfile.TemporaryDirectory() as tmp:
         first, second = sgm_paths(Path(tmp) / "a"), sgm_paths(Path(tmp) / "b")
         save_model(deployed, *first)

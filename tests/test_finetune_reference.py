@@ -26,7 +26,7 @@ def reference_finetune(model, dataset, config, velocity):
     n = len(dataset)
     for epoch in range(config.epochs):
         lr = config.lr * config.lr_decay ** sum(epoch >= m for m in config.lr_milestones)
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -123,7 +123,7 @@ def finetune_cases(draw):
     config = TrainConfig(epochs=draw(st.integers(1, 3)), batch_size=batch_size,
                          lr=draw(st.sampled_from([0.01, 0.05])),
                          lr_milestones=draw(st.sampled_from([(), (1,)])),
-                         shuffle=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+                         seed=draw(st.integers(0, 99)))
     return model, dataset, config
 
 

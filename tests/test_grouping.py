@@ -223,8 +223,6 @@ def test_degenerate_arguments_rejected(rng):
     vectors = rng.standard_normal((6, 3))
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         kmeans_cluster(vectors, 3, 0, restarts=0)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        kmeans_cluster(vectors, 3, 0, max_iter=0)
 
 
 # ---------------------------------------------------------------- polish reference
@@ -459,7 +457,7 @@ def test_bound_rules_out_most_moves_on_planted_groups(seed, monkeypatch):
     monkeypatch.setattr(grouping, "_live_moves", counted)
     rng = np.random.default_rng(seed)
     for _ in range(8):  # the starts kmeans_cluster polishes
-        start, _, _ = grouping._lloyd(vectors, 8, rng, 300)
+        start, _, _ = grouping._lloyd(vectors, 8, rng)
         np.testing.assert_array_equal(grouping._refine_unsquared(vectors, start, 8),
                                       refine_unsquared_reference(vectors, start, 8))
     assert sum(live_count) <= 0.1 * sum(legal_count)

@@ -261,6 +261,7 @@ BAD_VALUES = [
     ("input-shape-true", "manifest", "input_shape", [True, 8, 8]),
     ("input-shape-zero", "manifest", "input_shape", [3, 0, 8]),
     ("input-shape-first-layer-rejects", "manifest", "input_shape", [4, 8, 8]),
+    ("input-shape-scalar-into-a-conv", "manifest", "input_shape", []),  # fc-first models take it
 ]
 
 

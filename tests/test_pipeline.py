@@ -1,12 +1,17 @@
 """Compression driver, SGD trainer and evaluation metrics."""
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgconv import pipeline
 from sgconv.data import Dataset, make_blob_dataset
-from sgconv.deploy import convert_model
+from sgconv.deploy import convert_model, verify_equivalence
+from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
 from sgconv.pipeline import (PruneSchedule, TrainConfig, _backward, _forward_cached,
                              evaluate, run_algorithm1, sgd_finetune)
@@ -65,11 +70,6 @@ def test_evaluate_rejects_a_conv_padded_past_the_cap_before_allocating():
     with pytest.raises(ValueError,
                        match=r"layer 'conv1': padded input \(3, 2000008, 2000008\)"):
         evaluate(model, make_blob_dataset(4, seed=0))
-
-
-def test_evaluate_rejects_a_batch_size_below_1():
-    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
-        evaluate(build_toy_cnn(0), make_blob_dataset(4, seed=3), batch_size=0)
 
 
 # ---------------------------------------------------------------- trainer
@@ -133,8 +133,9 @@ def test_train_config_validation():
 
 def test_train_config_rejects_bad_epochs_and_lr():
     for field, bad in [("epochs", -1), ("lr", -0.01), ("lr", float("nan")),
-                       ("lr", float("inf"))]:
-        with pytest.raises(ValueError, match=field):
+                       ("lr", float("inf")), ("weight_decay", float("nan")),
+                       ("lr_decay", float("nan")), ("lr_milestones", ("a",))]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: bad})
     assert TrainConfig(epochs=0, lr=0.0).epochs == 0
 
@@ -339,10 +340,17 @@ def test_schedule_validation():
         PruneSchedule(num_groups=0)
     with pytest.raises(ValueError, match="kmeans_restarts must be >= 1"):
         PruneSchedule(kmeans_restarts=0)
+    nan = float("nan")
     for field, bad in [("local_epochs", -3), ("global_epochs", -1), ("batch_size", 0),
-                       ("local_lr", -1e-3), ("local_lr", float("nan")),
-                       ("global_lr", float("inf")), ("global_lr", -0.5)]:
-        with pytest.raises(ValueError, match=field):
+                       ("local_lr", -1e-3), ("local_lr", nan),
+                       ("global_lr", float("inf")), ("global_lr", -0.5),
+                       ("momentum", 1.0), ("momentum", -0.1), ("momentum", nan),
+                       ("weight_decay", nan), ("weight_decay", -1e-4),
+                       ("lr_decay", nan), ("lr_decay", -0.1), ("lr_decay", float("inf")),
+                       ("global_milestones", ("a",)), ("global_milestones", (-1,)),
+                       ("global_milestones", (2.5,)), ("global_milestones", (True,)),
+                       ("global_milestones", 10)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             PruneSchedule(**{field: bad})
 
 
@@ -376,10 +384,101 @@ def test_finetune_requires_dataset():
 
 
 def test_deployable_after_pipeline():
-    from sgconv.deploy import convert_model, max_forward_deviation
     model = build_toy_cnn(16)
     sched = PruneSchedule(num_groups=6, step=0.15, target_conv=0.45, target_fc=0.45,
                           finetune="none", seed=2)
     pruned, _ = run_algorithm1(model, None, sched)
     deployed = convert_model(pruned)  # granularity holds by construction
-    assert max_forward_deviation(pruned, deployed, (3, 8, 8), n_inputs=50, seed=0) <= 1e-5
+    assert verify_equivalence(pruned, deployed, (3, 8, 8), n_inputs=50, seed=0) <= 1e-5
+
+
+# ---------------------------------------------------------------- whole loop
+
+@st.composite
+def random_nets(draw):
+    """A random chain and a sample shape: 1-3 convs (kernel 1 or 3, stride
+    1-2, padding 0-1, some filters zeroed), each optionally followed by an
+    affine layer, then 1-2 fc layers, every weight scaled by a factor drawn
+    from [0.1, 3). The first conv stays uncompressed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def weights(*shape):
+        scale = draw(st.floats(0.1, 3, exclude_max=True))
+        return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+    def bias(c):
+        return weights(c) if draw(st.booleans()) else None
+
+    shape = (draw(st.integers(1, 4)), draw(st.integers(3, 10)), draw(st.integers(3, 10)))
+    input_shape, layers = shape, []
+    for i in range(draw(st.integers(1, 3))):
+        padding = draw(st.integers(0, 1))
+        kernel = draw(st.sampled_from([1, 3])) if min(shape[1:]) + 2 * padding >= 3 else 1
+        weight = weights(draw(st.integers(1, 12)), shape[0], kernel, kernel)
+        weight[rng.random(len(weight)) < 0.2] = 0  # some dead filters
+        conv = ConvLayer(f"conv{i}", weight, bias(len(weight)), stride=draw(st.integers(1, 2)),
+                         padding=padding, activation="relu", compress=i > 0)
+        layers.append(conv)
+        shape = conv.out_shape(shape)
+        if draw(st.booleans()):
+            layers.append(AffineLayer(f"bn{i}", weights(shape[0]), weights(shape[0])))
+    width = int(np.prod(shape))
+    for i in range(draw(st.integers(1, 2))):
+        out = draw(st.integers(2, 12))
+        layers.append(FcLayer(f"fc{i}", weights(out, width), bias(out), activation="relu"))
+        width = out
+    layers[-1].activation = "identity"
+    return Model(layers=layers), input_shape
+
+
+def saved_twice_alike(model):
+    """Whether save -> load -> save writes the same bytes twice."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = sgm_paths(Path(tmp) / "a"), sgm_paths(Path(tmp) / "b")
+        save_model(model, *first)
+        save_model(load_model(*first), *second)
+        return [p.read_bytes() for p in first] == [p.read_bytes() for p in second]
+
+
+@settings(max_examples=50)
+@given(net=random_nets(), groups=st.integers(1, 9), step=st.floats(0.05, 0.5),
+       targets=st.tuples(*[st.integers(0, 20).map(lambda k: k / 20)] * 2),
+       seed=st.integers(0, 99))
+def test_whole_loop_keeps_its_invariants_on_random_nets(net, groups, step, targets, seed):
+    """run_algorithm1 on random nets and schedules: masks are uniform within
+    each group, the pooled ratio equals the dead-connection fraction, every
+    target whose kind has compressible layers is reached, the pruned and the
+    deployed model save -> load -> save byte for byte, and on float64 inputs
+    the deployed model computes what the masked one does up to rounding."""
+    model, shape = net
+    step = min([step, *[t for t in targets if t > 0]])  # a step may not pass a target
+    schedule = PruneSchedule(num_groups=groups, step=step, target_conv=targets[0],
+                             target_fc=targets[1], finetune="none", kmeans_restarts=2,
+                             seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, *shape))
+    width = model.layers[-1].weight.shape[0]
+    data = Dataset(x.astype(np.float32), rng.integers(0, width, 6).astype(np.int32), width)
+    pruned, report = run_algorithm1(model, data, schedule)
+
+    for layer in pruned.layers:
+        if layer.ratio_kind is None:
+            continue
+        if layer.grouping is None:  # never clustered, so never pruned
+            assert layer.mask.all(), layer.name
+            continue
+        for gid in np.unique(layer.grouping):
+            rows = layer.mask[layer.grouping == gid]
+            assert (rows == rows[0]).all(), (layer.name, gid)
+    final = report["final"]
+    assert final["network_ratio"] == final["network_dead_fraction"]
+    for kind, ratio, target in zip(("conv2d", "fc"), ("conv_ratio", "fc_ratio"), targets):
+        if any(layer.ratio_kind == kind for layer in pruned.layers):
+            assert final[ratio] >= target - 1e-9, kind
+
+    deployed = convert_model(pruned)
+    assert saved_twice_alike(pruned) and saved_twice_alike(deployed)
+    masked = pruned.forward(x)
+    assert masked.dtype == np.float64
+    np.testing.assert_allclose(deployed.forward(x), masked, rtol=0,
+                               atol=1e-9 * np.abs(masked).max())

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import random_group_assignment, random_group_mask
 from sgconv.grouping import Grouping
-from sgconv.model import ConvLayer, FcLayer, apply_mask
+from sgconv.model import ConvLayer, FcLayer, apply_mask, mask_dead_fraction
 from sgconv.pruning import (RATIO_EPS, compression_ratio_layer, compression_ratio_network,
-                            group_sizes, kill_bundles, mask_dead_fraction, partial_elements,
-                            prune_to_ratio, pruned_elements)
+                            group_sizes, kill_bundles, partial_elements, prune_to_ratio,
+                            pruned_elements)
 
 
 def make_grouping(assignment, centroids):
