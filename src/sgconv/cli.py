@@ -23,6 +23,7 @@ from .pipeline import FINETUNE_MODES, PruneSchedule, evaluate, run_algorithm1
 from .pruning import model_ratios
 
 SWEEP_SCHEMA_VERSION = 1
+REPORT_JSON_SCHEMA_VERSION = 1  # `report --json`
 RATIO_FIELDS = ("conv_ratio", "fc_ratio", "network_ratio")
 
 
@@ -82,7 +83,7 @@ def cmd_report(args) -> int:
     model = _load(args.model)
     shape = _input_shape(args, model)
     info = {
-        "schema_version": SWEEP_SCHEMA_VERSION,
+        "schema_version": REPORT_JSON_SCHEMA_VERSION,
         "params": count_params(model),
         "flops": count_flops(model, shape),
         "input_shape": list(int(v) for v in shape),

@@ -13,7 +13,7 @@ import copy
 
 import numpy as np
 
-from .model import GroupBlock, GroupConvLayer, Model, layer_forward
+from .model import GroupBlock, GroupConvLayer, Model, filter_groups, layer_forward
 
 
 class GranularityError(Exception):
@@ -29,16 +29,11 @@ def convert_layer(layer):
 
     Each group becomes one block: its filters, in ascending order, and the
     input channels their mask rows keep. Groups whose channels are all
-    pruned get an empty channel list (their filters emit bias only). A
-    compressible layer that was never clustered is treated as a single
-    all-filter group, provided its mask is still all-keep. Raises
-    GranularityError when the mask rows of a group disagree.
+    pruned get an empty channel list (their filters emit bias only). The
+    groups are those of ``filter_groups``. Raises GranularityError when the
+    mask rows of a group disagree.
     """
-    assignment = layer.grouping
-    if assignment is None:
-        if not layer.mask.all():
-            raise ValueError(f"layer {layer.name!r} is pruned but has no grouping")
-        assignment = np.zeros(layer.mask.shape[0], dtype=np.int64)
+    assignment = filter_groups(layer)
     blocks = []
     for gid in range(int(assignment.max()) + 1):
         filt = np.flatnonzero(assignment == gid)

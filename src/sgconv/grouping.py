@@ -1,6 +1,6 @@
 """Filter grouping by k-means over importance vectors.
 
-Lloyd iterations with k-means++ seeding and a fixed number of seeded
+Lloyd iterations with k-means++ seeding and ``RESTARTS`` seeded
 restarts, cut short by a restart whose objective is 0. The quality figure
 of a grouping is the unsquared within-group distance sum (with group
 means as centroids), which is not quite what Lloyd minimizes; each
@@ -204,25 +204,26 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     return assignment
 
 
-def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed, *, restarts: int = 8) -> Grouping:
+RESTARTS = 8  # seeded Lloyd starts per clustering, unless one reaches objective 0
+
+
+def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed) -> Grouping:
     """Cluster importance vectors into num_groups groups.
 
     Deterministic for a given (vectors, num_groups, seed). num_groups is
-    clamped to the number of vectors; fewer than one group or restart is
-    an error, and so is a NaN or infinite entry. The restarts stop at one
-    whose objective is exactly 0, which none can beat.
+    clamped to the number of vectors; fewer than one group is an error, and
+    so is a NaN or infinite entry. Of the RESTARTS restarts, none runs after
+    one whose objective is exactly 0, which no other can beat.
     """
     if num_groups < 1:
         raise ValueError(f"num_groups must be >= 1, got {num_groups}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     vectors = np.asarray(vectors, dtype=np.float64)
     if not np.isfinite(vectors).all():
         raise ValueError("importance vectors must be finite (NaN or inf found)")
     num_groups = min(num_groups, len(vectors))
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         assignment, _, trace = _lloyd(vectors, num_groups, rng)
         assignment = _refine_unsquared(vectors, assignment, num_groups)
         centroids = centroids_for(vectors, assignment, num_groups)

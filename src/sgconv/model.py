@@ -414,6 +414,18 @@ def layer_forward(layer, x):
     return ops.apply_activation(layer.linear(x), layer.activation)
 
 
+def filter_groups(layer) -> np.ndarray:
+    """Group id per filter of a counted layer. One never clustered counts as
+    a single all-filter group while its mask keeps every connection; pruned,
+    it has no grouping that deployment or the ratio formula could use, so
+    that raises ValueError naming the layer."""
+    if layer.grouping is not None:
+        return layer.grouping
+    if not layer.mask.all():
+        raise ValueError(f"layer {layer.name!r} is pruned but has no grouping")
+    return np.zeros(layer.mask.shape[0], dtype=np.int64)
+
+
 def apply_mask(layer) -> None:
     """Zero the weights of dead connections of a conv/fc layer in place
     (the whole kernel for conv)."""

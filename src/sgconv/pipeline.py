@@ -11,7 +11,6 @@ pass recovers accuracy. Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import numbers
 import time
@@ -31,20 +30,30 @@ from .pruning import (RATIO_EPS, compression_ratio_layer, kill_bundles, model_de
 REPORT_SCHEMA_VERSION = 1
 FINETUNE_MODES = ("none", "global", "local+global")
 
+# The SGD recipe every fine-tuning pass shares: momentum, weight decay, and
+# the factor the learning rate is multiplied by at each of its milestones.
+# The global pass decays at GLOBAL_MILESTONES; the local passes never do.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+LR_DECAY = 0.1
+GLOBAL_MILESTONES = (10, 16)
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 4
     batch_size: int = 32
     lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lr_milestones: tuple = ()          # epochs at which lr is multiplied by lr_decay
-    lr_decay: float = 0.1
+    lr_milestones: tuple = ()          # epochs at which lr is multiplied by LR_DECAY
     seed: object = 0                   # int or sequence of ints
 
     def __post_init__(self):
-        _check_finetune_settings(self, ("epochs",), ("lr",), "lr_milestones")
+        _check_fields(self, {"epochs": 0, "batch_size": 1}, ("lr",))
+        steps = self.lr_milestones
+        if not isinstance(steps, (tuple, list)) or not all(
+                isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0
+                for m in steps):
+            raise ValueError(f"lr_milestones must be a sequence of integers >= 0, got {steps!r}")
 
 
 @dataclass
@@ -58,19 +67,12 @@ class PruneSchedule:
     local_lr: float = 1e-3
     global_epochs: int = 20
     global_lr: float = 0.01
-    global_milestones: tuple = (10, 16)
-    lr_decay: float = 0.1
     batch_size: int = 32
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    kmeans_restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_groups < 1:
-            raise ValueError(f"num_groups must be >= 1, got {self.num_groups}")
-        if self.kmeans_restarts < 1:
-            raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
+        _check_fields(self, {"num_groups": 1, "local_epochs": 0, "global_epochs": 0,
+                             "batch_size": 1, "seed": 0}, ("local_lr", "global_lr"))
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}: "
                              "targets are unreachable otherwise")
@@ -83,30 +85,22 @@ class PruneSchedule:
                 )
         if self.finetune not in FINETUNE_MODES:
             raise ValueError(f"finetune must be one of {FINETUNE_MODES}, got {self.finetune!r}")
-        _check_finetune_settings(self, ("local_epochs", "global_epochs"),
-                                 ("local_lr", "global_lr"), "global_milestones")
 
 
-def _check_finetune_settings(config, epochs: tuple, lrs: tuple, milestones: str) -> None:
-    """Reject a fine-tune setting of ``config`` that no SGD run can use, naming
-    its field: an ``epochs`` field below 0; an ``lrs`` field, weight_decay or
-    lr_decay that is negative or not finite; a batch_size below 1; a momentum
-    outside [0, 1); a ``milestones`` field that is not a sequence of integers >= 0."""
-    for key in epochs:
-        if getattr(config, key) < 0:
-            raise ValueError(f"{key} must be >= 0, got {getattr(config, key)}")
-    for key in (*lrs, "weight_decay", "lr_decay"):
+def _check_fields(config, minimums: dict, rates: tuple) -> None:
+    """Reject a setting of ``config`` that no run can use, naming its field:
+    a ``minimums`` field that is not an integer (a bool is not one) or is
+    below its minimum; a ``rates`` field that is negative or not finite."""
+    for key, low in minimums.items():
+        value = getattr(config, key)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+    for key in rates:
         value = getattr(config, key)
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{key} must be finite and >= 0, got {value}")
-    if config.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
-    if not 0 <= config.momentum < 1:
-        raise ValueError(f"momentum must be in [0, 1), got {config.momentum}")
-    steps = getattr(config, milestones)
-    if not isinstance(steps, (tuple, list)) or not all(
-            isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0 for m in steps):
-        raise ValueError(f"{milestones} must be a sequence of integers >= 0, got {steps!r}")
 
 
 def _softmax_cross_entropy(logits, labels):
@@ -151,7 +145,8 @@ def _backward(caches, dlogits):
 
 
 def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
-    """SGD with momentum and weight decay; trains the model in place.
+    """SGD with MOMENTUM and WEIGHT_DECAY, the learning rate multiplied by
+    LR_DECAY at each of the config's milestones; trains the model in place.
 
     Pruned connections are re-zeroed after every update, so dead
     connections never revive. Returns each epoch's mean training loss
@@ -168,7 +163,7 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
     n = len(dataset)
     for epoch in range(config.epochs):
         total_loss = 0.0
-        lr = config.lr * config.lr_decay ** sum(epoch >= m for m in config.lr_milestones)
+        lr = config.lr * LR_DECAY ** sum(epoch >= m for m in config.lr_milestones)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -189,12 +184,12 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
                         np.zeros_like(layer.weight),
                         None if layer.bias is None else np.zeros_like(layer.bias))
                 vw, vb = velocity[layer.name]
-                dw = dw + config.weight_decay * layer.weight
-                vw *= config.momentum
+                dw = dw + WEIGHT_DECAY * layer.weight
+                vw *= MOMENTUM
                 vw += dw
                 layer.weight -= (lr * vw).astype(layer.weight.dtype, copy=False)
                 if layer.bias is not None:
-                    vb *= config.momentum
+                    vb *= MOMENTUM
                     vb += db
                     layer.bias -= (lr * vb).astype(layer.bias.dtype, copy=False)
                 apply_mask(layer)
@@ -256,8 +251,7 @@ def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> di
     vectors = layer_importance(layer)
     try:
         grouping = kmeans_cluster(vectors, schedule.num_groups,
-                                  seed=[schedule.seed, 11, t, layer_index],
-                                  restarts=schedule.kmeans_restarts)
+                                  seed=[schedule.seed, 11, t, layer_index])
     except ValueError as exc:
         raise ValueError(f"layer {layer.name!r}: {exc}") from exc
     synced = _sync_bundles(layer, grouping)
@@ -300,10 +294,6 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
     targets = {"conv2d": schedule.target_conv, "fc": schedule.target_fc}
     compressible = [l for l in model.layers if l.compress]
     eval_set = test_dataset if test_dataset is not None else dataset
-    # the local and global fine-tune passes share these settings
-    train_config = functools.partial(TrainConfig, batch_size=schedule.batch_size,
-                                     momentum=schedule.momentum,
-                                     weight_decay=schedule.weight_decay)
 
     t_start = time.perf_counter()
     report = {
@@ -343,8 +333,9 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         record.update(model_ratios(model))
         if schedule.finetune == "local+global":
             tick = time.perf_counter()
-            sgd_finetune(model, dataset, train_config(
-                epochs=schedule.local_epochs, lr=schedule.local_lr, seed=[schedule.seed, 22, t]))
+            sgd_finetune(model, dataset, TrainConfig(
+                epochs=schedule.local_epochs, batch_size=schedule.batch_size,
+                lr=schedule.local_lr, seed=[schedule.seed, 22, t]))
             local_seconds += time.perf_counter() - tick
         if eval_set is not None:
             record["accuracy"] = accuracy = evaluate(model, eval_set)
@@ -354,10 +345,9 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
     global_seconds = 0.0
     if schedule.finetune != "none" and report["iterations"]:
         tick = time.perf_counter()
-        sgd_finetune(model, dataset, train_config(
-            epochs=schedule.global_epochs, lr=schedule.global_lr,
-            lr_milestones=schedule.global_milestones, lr_decay=schedule.lr_decay,
-            seed=[schedule.seed, 33]))
+        sgd_finetune(model, dataset, TrainConfig(
+            epochs=schedule.global_epochs, batch_size=schedule.batch_size,
+            lr=schedule.global_lr, lr_milestones=GLOBAL_MILESTONES, seed=[schedule.seed, 33]))
         global_seconds = time.perf_counter() - tick
         accuracy = evaluate(model, eval_set) if eval_set is not None else None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grouping import group_sizes
-from .model import apply_mask
+from .model import apply_mask, filter_groups
 
 # float slack when comparing achieved ratios against accumulated t*s targets
 RATIO_EPS = 1e-9
@@ -67,16 +67,12 @@ def _counted(model, kind: str | None):
 
 
 def model_ratio_items(model):
-    """(assignment, pruned-elements) pairs feeding the pooled ratio formula.
-
-    Compressible layers that were never clustered count as one all-filter
-    group, so their connections appear in the denominator.
-    """
+    """(assignment, pruned-elements) pairs feeding the pooled ratio formula,
+    one per counted layer, grouped by ``filter_groups``: a layer never
+    clustered still has its connections in the denominator."""
     items = []
     for layer in _counted(model, None):
-        assignment = layer.grouping
-        if assignment is None:
-            assignment = np.zeros(layer.mask.shape[0], dtype=np.int64)
+        assignment = filter_groups(layer)
         num_groups = int(assignment.max(initial=0)) + 1
         items.append((assignment, pruned_elements(layer.mask, assignment, num_groups)))
     return items

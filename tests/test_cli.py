@@ -1,5 +1,6 @@
 """Command-line contract: flags, outputs, exit codes."""
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -11,8 +12,8 @@ from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model, count_flops, verify_equivalence
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model,
-                          build_toy_cnn)
-from sgconv.pipeline import TrainConfig, sgd_finetune
+                          apply_mask, build_toy_cnn)
+from sgconv.pipeline import PruneSchedule, TrainConfig, sgd_finetune
 from test_deploy import corrupt_first_block
 
 
@@ -210,6 +211,20 @@ def test_report_json_output(workspace, tmp_path):
     assert doc["params"] == 2098
 
 
+def test_report_of_a_pruned_layer_without_grouping_exits_2_naming_it(workspace, capsys):
+    """Half of conv2's connections dead and no grouping: no ratio formula
+    applies, so report refuses the model as deploy does."""
+    model = load_model(*sgm_paths(workspace / "toy"))
+    conv2 = model.layer("conv2")
+    conv2.mask = np.random.default_rng(0).random(conv2.mask.shape) >= 0.5
+    apply_mask(conv2)
+    save_model(model, *sgm_paths(workspace / "ungrouped"))
+    assert main(["report", "--model", str(workspace / "ungrouped")]) == 2
+    captured = capsys.readouterr()
+    assert "'conv2' is pruned but has no grouping" in captured.err
+    assert "ratios" not in captured.out
+
+
 def test_report_shows_executor_of_deployed_layers(workspace, capsys):
     code = main(["prune", "--model", str(workspace / "toy.sgm.json"),
                  "--data", str(workspace / "train.sgd"), "--groups", "8", "--step", "0.4",
@@ -372,6 +387,15 @@ def test_bad_finetune_settings_exit_2_before_pruning(workspace, capsys, monkeypa
     assert code == 2
     assert setting in capsys.readouterr().err
     assert not (workspace / "x.sgm.json").exists()
+
+
+def test_every_schedule_field_is_a_prune_flag_with_its_default():
+    args = vars(cli.build_parser().parse_args(["prune", "--model", "m", "--data", "d",
+                                               "--out", "o"]))
+    args["num_groups"] = args.pop("groups")
+    for field in dataclasses.fields(PruneSchedule):
+        assert field.name in args, f"no prune flag sets {field.name}"
+        assert args[field.name] == field.default, field.name
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

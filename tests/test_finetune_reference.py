@@ -25,7 +25,7 @@ def reference_finetune(model, dataset, config, velocity):
     accuracy, losses = [], []
     n = len(dataset)
     for epoch in range(config.epochs):
-        lr = config.lr * config.lr_decay ** sum(epoch >= m for m in config.lr_milestones)
+        lr = config.lr * pipeline.LR_DECAY ** sum(epoch >= m for m in config.lr_milestones)
         order = rng.permutation(n)
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -50,12 +50,12 @@ def reference_finetune(model, dataset, config, velocity):
                         np.zeros_like(layer.weight),
                         None if layer.bias is None else np.zeros_like(layer.bias))
                 vw, vb = velocity[layer.name]
-                dw = dw + config.weight_decay * layer.weight
-                vw *= config.momentum
+                dw = dw + pipeline.WEIGHT_DECAY * layer.weight
+                vw *= pipeline.MOMENTUM
                 vw += dw
                 layer.weight -= (lr * vw).astype(layer.weight.dtype, copy=False)
                 if layer.bias is not None:
-                    vb *= config.momentum
+                    vb *= pipeline.MOMENTUM
                     vb += db
                     layer.bias -= (lr * vb).astype(layer.bias.dtype, copy=False)
                 apply_mask(layer)

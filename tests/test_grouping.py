@@ -107,14 +107,17 @@ def test_restarts_stop_at_objective_zero(rng, monkeypatch, style):
         rows = rng.integers(0, 10, (3, 4)).astype(np.float64)
         vectors, num_groups = rows[[0, 1, 2, 1, 0, 2, 2, 1, 0]], 3
     starts = counted_lloyd(monkeypatch)
-    many = kmeans_cluster(vectors, num_groups, seed=5, restarts=8)
+    monkeypatch.setattr(grouping, "RESTARTS", 8)
+    many = kmeans_cluster(vectors, num_groups, seed=5)
     assert starts == [1] and many.objective == 0.0
-    assert_same_grouping(many, kmeans_cluster(vectors, num_groups, seed=5, restarts=1))
+    monkeypatch.setattr(grouping, "RESTARTS", 1)
+    assert_same_grouping(many, kmeans_cluster(vectors, num_groups, seed=5))
 
 
 def test_restarts_run_on_while_the_objective_is_positive(rng, monkeypatch):
     starts = counted_lloyd(monkeypatch)
-    kmeans_cluster(rng.standard_normal((9, 4)), 3, seed=5, restarts=8)
+    monkeypatch.setattr(grouping, "RESTARTS", 8)
+    kmeans_cluster(rng.standard_normal((9, 4)), 3, seed=5)
     assert starts == [8]
 
 
@@ -221,8 +224,9 @@ def test_non_finite_vectors_rejected(rng):
 
 def test_degenerate_arguments_rejected(rng):
     vectors = rng.standard_normal((6, 3))
-    with pytest.raises(ValueError, match="restarts must be >= 1"):
-        kmeans_cluster(vectors, 3, 0, restarts=0)
+    for num_groups in (0, -2):
+        with pytest.raises(ValueError, match="num_groups must be >= 1"):
+            kmeans_cluster(vectors, num_groups, 0)
 
 
 # ---------------------------------------------------------------- polish reference
@@ -340,9 +344,10 @@ def test_kmeans_with_cached_polish_matches_reference(case):
     vectors, _, num_groups, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grouping, "CHUNK_ELEMENTS", chunk)
-        result = kmeans_cluster(vectors, num_groups, seed=7, restarts=2)
+        mp.setattr(grouping, "RESTARTS", 2)
+        result = kmeans_cluster(vectors, num_groups, seed=7)
         mp.setattr(grouping, "_refine_unsquared", refine_unsquared_reference)
-        reference = kmeans_cluster(vectors, num_groups, seed=7, restarts=2)
+        reference = kmeans_cluster(vectors, num_groups, seed=7)
     np.testing.assert_array_equal(result.assignment, reference.assignment)
     np.testing.assert_array_equal(result.centroids, reference.centroids)
     assert result.objective == reference.objective

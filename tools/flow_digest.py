@@ -13,10 +13,12 @@ the wide nets with ``--finetune none``, and each pruned model is then
 deployed, reported with ``--json`` and evaluated; each net also runs a
 two-cell sweep. Every command runs in-process through ``sgconv.cli.main``
 on relative paths, so no temporary path reaches an output. The listing
-digests the model manifests and blobs, the prune reports without their
-``timings`` (wall times vary), the report JSON, the sweep CSVs and each
-command's stdout. BLAS is pinned to one thread, since its kernel choice
-may depend on the thread count.
+digests the model manifests and blobs, each prune report's ``schedule``
+block and, apart from it, the rest of the report without its ``timings``
+(wall times vary), the report JSON, the sweep CSVs and each command's
+stdout. A change to the schedule's settings thus differs in one line per
+net and leaves the rest of the report provably unchanged. BLAS is pinned
+to one thread, since its kernel choice may depend on the thread count.
 """
 from __future__ import annotations
 
@@ -97,10 +99,13 @@ def flow(net: str, size: int, train_flags: list, prune_flags: list) -> dict:
     }
     report = json.loads(Path(f"{pruned}.report.json").read_text(encoding="utf-8"))
     report.pop("timings")
+    schedule = report.pop("schedule")
     digests = {path.name: sha(path.read_bytes())
                for prefix in (pruned, deployed) for path in sgm_paths(prefix)}
     digests.update({
-        f"{pruned}.report (no timings)": sha(json.dumps(report, sort_keys=True).encode()),
+        f"{pruned}.report schedule": sha(json.dumps(schedule, sort_keys=True).encode()),
+        f"{pruned}.report (no schedule, timings)":
+            sha(json.dumps(report, sort_keys=True).encode()),
         f"{net}-report.json": sha(Path(f"{net}-report.json").read_bytes()),
         f"{net}-sweep.csv": sha(Path(f"{net}-sweep.csv").read_bytes()),
     })
