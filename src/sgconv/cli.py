@@ -131,10 +131,10 @@ def cmd_sweep(args) -> int:
     model = _load(args.model)
     dataset = load_dataset(args.data)
     test_set = load_dataset(args.test_data) if args.test_data else None
-    groups_grid = [int(v) for v in args.groups.split(",") if v]
-    steps_grid = [float(v) for v in args.steps.split(",") if v]
+    groups_grid = _comma_list(args.groups, int, "--groups")
+    steps_grid = _comma_list(args.steps, float, "--steps")
     scopes_grid = [v.strip() for v in args.scopes.split(",") if v.strip()]
-    seeds_grid = [int(v) for v in args.seeds.split(",") if v]
+    seeds_grid = _comma_list(args.seeds, int, "--seeds")
     if not groups_grid or not steps_grid or not scopes_grid or not seeds_grid:
         raise ValueError("sweep grids must be non-empty")
     for scope in scopes_grid:
@@ -169,13 +169,25 @@ def _schedule(args, **cell) -> PruneSchedule:
                          global_lr=args.global_lr, batch_size=args.batch_size, **cell)
 
 
+def _comma_list(text, convert, flag):
+    """The non-empty items of a comma list, each converted; an item that does
+    not convert raises ValueError naming ``flag`` and the item."""
+    values = []
+    for item in filter(None, text.split(",")):
+        try:
+            values.append(convert(item))
+        except ValueError:
+            raise ValueError(f"{flag}: {item!r} is not a valid {convert.__name__}") from None
+    return values
+
+
 def _input_shape(args, model):
     """The per-sample shape deploy and report work at: --input-shape, else
     report's --data, else the shape the model records."""
     if args.input_shape:
-        parts = [int(v) for v in args.input_shape.replace("x", ",").split(",") if v]
+        parts = _comma_list(args.input_shape.replace("x", ","), int, "--input-shape")
         if not parts or any(v < 1 for v in parts):
-            raise ValueError(f"bad input shape {args.input_shape!r}; want e.g. 3,8,8")
+            raise ValueError(f"bad --input-shape {args.input_shape!r}; want e.g. 3,8,8")
         return tuple(parts)
     if getattr(args, "data", None):
         return load_dataset(args.data).features.shape[1:]
@@ -191,7 +203,6 @@ def _add_train_flags(sub):
     sub.add_argument("--global-epochs", type=int, default=PruneSchedule.global_epochs)
     sub.add_argument("--global-lr", type=float, default=PruneSchedule.global_lr)
     sub.add_argument("--batch-size", type=int, default=PruneSchedule.batch_size)
-    sub.add_argument("--seed", type=int, default=PruneSchedule.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=PruneSchedule.step)
     p.add_argument("--target-conv", type=float, default=PruneSchedule.target_conv)
     p.add_argument("--target-fc", type=float, default=PruneSchedule.target_fc)
+    p.add_argument("--seed", type=int, default=PruneSchedule.seed)
     _add_train_flags(p)
 
     p = sub.add_parser("deploy", help="convert masks into explicit group-conv blocks")

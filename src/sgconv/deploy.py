@@ -10,6 +10,7 @@ checked against the masked dense forward before it is trusted.
 from __future__ import annotations
 
 import copy
+import numbers
 
 import numpy as np
 
@@ -123,6 +124,9 @@ def layer_deviations(model_a: Model, model_b: Model, input_shape,
     on the split; fc outputs may differ in the last bits from one
     whole-batch forward, since BLAS picks its kernel by matrix size.
     """
+    if not isinstance(n_inputs, numbers.Integral) or isinstance(n_inputs, bool) or n_inputs < 1:
+        raise ValueError(f"equivalence check needs an integer number of inputs >= 1, "
+                         f"got n_inputs={n_inputs!r}")
     devs = np.zeros(len(model_b.layers))
     for x in _batches(model_a, model_b, input_shape, n_inputs, seed):
         xa = xb = x
@@ -143,8 +147,6 @@ def verify_equivalence(original: Model, deployed: Model, input_shape,
     The models run side by side once, so a failed check's error names
     the first layer over tolerance.
     """
-    if n_inputs < 1:
-        raise ValueError(f"equivalence check needs at least 1 input, got n_inputs={n_inputs}")
     if not tol >= 0:
         raise ValueError(f"equivalence tolerance must be a number >= 0, got tol={tol}")
     devs = layer_deviations(original, deployed, input_shape, n_inputs, seed)

@@ -14,6 +14,7 @@ squared Lloyd objective is kept alongside for diagnostics.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,10 +212,13 @@ def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed) -> Grouping:
     """Cluster importance vectors into num_groups groups.
 
     Deterministic for a given (vectors, num_groups, seed). num_groups is
-    clamped to the number of vectors; fewer than one group is an error, and
-    so is a NaN or infinite entry. Of the RESTARTS restarts, none runs after
-    one whose objective is exactly 0, which no other can beat.
+    clamped to the number of vectors; a count that is not an integer >= 1
+    (a bool is not one) is an error, and so is a NaN or infinite entry. Of
+    the RESTARTS restarts, none runs after one whose objective is exactly 0,
+    which no other can beat.
     """
+    if not isinstance(num_groups, numbers.Integral) or isinstance(num_groups, bool):
+        raise ValueError(f"num_groups must be an integer, got {num_groups!r}")
     if num_groups < 1:
         raise ValueError(f"num_groups must be >= 1, got {num_groups}")
     vectors = np.asarray(vectors, dtype=np.float64)

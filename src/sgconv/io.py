@@ -7,9 +7,11 @@ referenced from the manifest by byte offset and length. Masks travel in
 the manifest as base64-packed row-major bitsets, groupings as plain
 integer arrays; neither ever round-trips through floating point.
 
-Each layer class writes and reads its own record's fields (``to_record``,
-``from_record``, reached through ``KINDS``); this module keeps the blob,
-the manifest's top level, bias ranges, masks and groupings.
+Each layer class writes and reads its whole record (``to_record``,
+``from_record``, reached through ``KINDS``) through this module's blob
+writer and reader. They keep what belongs to the format, not to a kind:
+the blob and its range checks, the mask bit encoding, and the masks and
+groupings tables; ``save_model`` and ``load_model`` the manifest's top level.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, MaskedLayer, Model,
+from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, Model,
                     validate_first_conv_uncompressed)
 
 FORMAT_VERSION = 1
@@ -53,9 +55,12 @@ def sgm_paths(prefix) -> tuple[Path, Path]:
 
 
 class _BlobWriter:
+    """One model's blob, filled in layer order, and its masks and groupings tables."""
+
     def __init__(self):
         self.chunks = []
         self.offset = 0
+        self.masks, self.groupings = {}, {}
 
     def add(self, arr) -> tuple[int, int]:
         data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
@@ -64,55 +69,37 @@ class _BlobWriter:
         self.offset += len(data)
         return start, len(data)
 
+    def bias(self, bias) -> dict:
+        """The record fields of an optional bias: its range, if there is one."""
+        return {} if bias is None else dict(zip(("bias_offset", "bias_length"), self.add(bias)))
+
+    def mask(self, name, mask) -> dict:
+        """Layer ``name``'s mask_ref, if ``mask`` drops any connection."""
+        if mask.all():
+            return {}
+        bits = np.packbits(mask.astype(np.uint8).ravel())
+        self.masks[name] = {"bits": base64.b64encode(bits).decode("ascii")}
+        return {"mask_ref": name}
+
+    def grouping(self, name, grouping) -> dict:
+        """Layer ``name``'s grouping_ref, if it has a grouping."""
+        if grouping is None:
+            return {}
+        self.groupings[name] = {"num_groups": int(grouping.max()) + 1,
+                                "assignment": [int(v) for v in grouping]}
+        return {"grouping_ref": name}
+
     def bytes(self) -> bytes:
         return b"".join(self.chunks)
-
-
-def _encode_mask(mask: np.ndarray) -> str:
-    return base64.b64encode(np.packbits(mask.astype(np.uint8).ravel())).decode("ascii")
-
-
-def _decode_mask(text: str, shape, name) -> np.ndarray:
-    raw = base64.b64decode(text)
-    count = int(np.prod(shape))
-    if len(raw) != -(-count // 8):
-        raise ModelFormatError(f"{name}: mask bits hold {len(raw)} bytes, a "
-                               f"{shape[0]}x{shape[1]} mask needs {-(-count // 8)}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
-    return bits.reshape(shape).astype(bool)
-
-
-def _kind_class(kind):
-    if kind not in KINDS:
-        raise ModelFormatError(f"unknown layer kind {kind!r}")
-    return KINDS[kind]
 
 
 def save_model(model: Model, manifest_path, blob_path) -> None:
     """Write the manifest and blob; byte-deterministic for identical models."""
     validate_first_conv_uncompressed(model)
     blob = _BlobWriter()
-    records = []
-    masks = {}
-    groupings = {}
-    for layer in model.layers:
-        rec = {"name": layer.name, "kind": layer.kind, "activation": layer.activation,
-               **_kind_class(layer.kind).to_record(layer, blob.add)}
-        if getattr(layer, "bias", None) is not None:
-            rec["bias_offset"], rec["bias_length"] = blob.add(layer.bias)
-        if isinstance(layer, MaskedLayer):
-            if not layer.mask.all():
-                masks[layer.name] = {"bits": _encode_mask(layer.mask)}
-                rec["mask_ref"] = layer.name
-            if layer.grouping is not None:
-                groupings[layer.name] = {
-                    "num_groups": int(layer.grouping.max()) + 1,
-                    "assignment": [int(v) for v in layer.grouping],
-                }
-                rec["grouping_ref"] = layer.name
-        records.append(rec)
+    records = [layer.to_record(blob) for layer in model.layers]
     manifest = {"format_version": FORMAT_VERSION, "layers": records,
-                "masks": masks, "groupings": groupings}
+                "masks": blob.masks, "groupings": blob.groupings}
     if model.input_shape is not None:
         manifest["input_shape"] = [int(v) for v in model.input_shape]
     Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -121,10 +108,21 @@ def save_model(model: Model, manifest_path, blob_path) -> None:
 
 
 class _BlobReader:
-    def __init__(self, raw: bytes, path):
+    """A blob and the manifest's masks and groupings tables, read back
+    record by record; a malformed record raises KeyError, TypeError,
+    ValueError or ModelFormatError."""
+
+    def __init__(self, raw: bytes, path, masks, groupings):
         self.raw = raw
         self.path = path
+        self.masks, self.groupings = masks, groupings
         self.ranges = []
+
+    def layer(self, rec):
+        """The layer a record describes, built by its kind's class."""
+        if rec["kind"] not in KINDS:
+            raise ModelFormatError(f"unknown layer kind {rec['kind']!r}")
+        return KINDS[rec["kind"]].from_record(rec, self)
 
     def fetch(self, rec, shape, what, offset_key="blob_offset", length_key="blob_length"):
         offset, length = rec.get(offset_key), rec.get(length_key)
@@ -150,6 +148,42 @@ class _BlobReader:
             return None
         return self.fetch(rec, (size,), f"{rec['name']}.bias", "bias_offset", "bias_length")
 
+    def _entry(self, table, rec, key):
+        if rec[key] not in table:
+            raise ModelFormatError(f"{rec['name']}: {key} {rec[key]!r} not found")
+        return table[rec[key]]
+
+    def mask(self, rec, shape):
+        """The record's (C_out, C_in) mask, or None (all-keep) without a mask_ref."""
+        if "mask_ref" not in rec:
+            return None
+        raw = base64.b64decode(self._entry(self.masks, rec, "mask_ref")["bits"])
+        count = int(np.prod(shape))
+        if len(raw) != -(-count // 8):
+            raise ModelFormatError(f"{rec['name']}: mask bits hold {len(raw)} bytes, a "
+                                   f"{shape[0]}x{shape[1]} mask needs {-(-count // 8)}")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+        return bits.reshape(shape).astype(bool)
+
+    def grouping(self, rec, filters):
+        """The record's group id per filter, or None without a grouping_ref."""
+        if "grouping_ref" not in rec:
+            return None
+        name, entry = rec["name"], self._entry(self.groupings, rec, "grouping_ref")
+        assignment = self.indices(entry["assignment"], f"{name}: grouping assignment")
+        num_groups = entry["num_groups"]
+        if type(num_groups) is not int:  # 2.5 would load and be re-saved as another count
+            raise ModelFormatError(f"{name}: grouping num_groups must be an integer, "
+                                   f"got {num_groups!r}")
+        if len(assignment) != filters:
+            raise ModelFormatError(f"{name}: grouping length {len(assignment)} "
+                                   f"!= {filters} filters")
+        # a saved num_groups is always the largest id + 1; another would re-save changed
+        if len(assignment) and (assignment.min() < 0 or assignment.max() != num_groups - 1):
+            raise ModelFormatError(f"{name}: group ids must lie in [0, {num_groups}) "
+                                   f"and reach {num_groups - 1}")
+        return assignment
+
     @staticmethod
     def indices(values, what) -> np.ndarray:
         """A JSON list of integers as an int64 array; a float is rejected, not floored."""
@@ -162,39 +196,6 @@ class _BlobReader:
         for (s0, e0, w0), (s1, e1, w1) in zip(spans, spans[1:]):
             if s1 < e0:
                 raise OverlappingRangesError(f"blob ranges overlap: {w0} and {w1}")
-
-
-def _ref(table, rec, key, name):
-    ref = rec[key]
-    if ref not in table:
-        raise ModelFormatError(f"{name}: {key} {ref!r} not found")
-    return table[ref]
-
-
-def _read_layer(rec, blob, masks, groupings):
-    """One layer from its manifest record; KeyError/TypeError/ValueError when malformed."""
-    layer = _kind_class(rec["kind"]).from_record(rec, blob)
-    if not isinstance(layer, MaskedLayer):
-        return layer
-    if "mask_ref" in rec:
-        bits = _ref(masks, rec, "mask_ref", layer.name)["bits"]
-        layer.mask = _decode_mask(bits, layer.mask.shape, layer.name)
-    if "grouping_ref" in rec:
-        entry = _ref(groupings, rec, "grouping_ref", layer.name)
-        assignment = blob.indices(entry["assignment"], f"{layer.name}: grouping assignment")
-        num_groups = entry["num_groups"]
-        if type(num_groups) is not int:  # 2.5 would load and be re-saved as another count
-            raise ModelFormatError(f"{layer.name}: grouping num_groups must be an integer, "
-                                   f"got {num_groups!r}")
-        if len(assignment) != layer.mask.shape[0]:
-            raise ModelFormatError(f"{layer.name}: grouping length {len(assignment)} "
-                                   f"!= {layer.mask.shape[0]} filters")
-        # a saved num_groups is always the largest id + 1; another would re-save changed
-        if len(assignment) and (assignment.min() < 0 or assignment.max() != num_groups - 1):
-            raise ModelFormatError(f"{layer.name}: group ids must lie in [0, {num_groups}) "
-                                   f"and reach {num_groups - 1}")
-        layer.grouping = assignment
-    return layer
 
 
 def load_model(manifest_path, blob_path) -> Model:
@@ -214,14 +215,13 @@ def load_model(manifest_path, blob_path) -> Model:
                                    f"unsupported (expected {FORMAT_VERSION})")
     if not isinstance(manifest.get("layers"), list):
         raise ModelFormatError(f"{manifest_path}: \"layers\" must be a list of records")
-    blob = _BlobReader(Path(blob_path).read_bytes(), blob_path)
-    masks = manifest.get("masks", {})
-    groupings = manifest.get("groupings", {})
+    blob = _BlobReader(Path(blob_path).read_bytes(), blob_path,
+                       manifest.get("masks", {}), manifest.get("groupings", {}))
     layers = []
     seen_names = set()
     for index, rec in enumerate(manifest["layers"]):
         try:
-            layer = _read_layer(rec, blob, masks, groupings)
+            layer = blob.layer(rec)
             if layer.name in seen_names:
                 raise ModelFormatError(f"duplicate layer name {layer.name!r}")
             seen_names.add(layer.name)

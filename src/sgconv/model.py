@@ -12,11 +12,10 @@ need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``,
 except for a group layer that runs one dense GEMM),
 ``compress`` (whether pruning and deployment rewrite it), ``ratio_kind``
 (the kind whose removal ratio counts its connections, or None),
-``describe(shape)`` (its ``sgconv report`` entry), ``to_record(add)``
-(its manifest fields; ``add(array)`` stores an array in the blob and
-gives its (offset, length)) and the classmethod ``from_record(rec,
-blob)``; io.py keeps the blob, the manifest's top level, bias ranges,
-masks and groupings. Connection masks live on conv/fc layers as
+``describe(shape)`` (its ``sgconv report`` entry), and ``to_record(blob)``
+and the classmethod ``from_record(rec, blob)``: its whole manifest
+record, arrays, mask and grouping included, through io's blob writer
+and reader. Connection masks live on conv/fc layers as
 (C_out, C_in) boolean arrays; an fc layer is a kernel-1 conv, and a dead
 conv connection stands for the whole zeroed k x k kernel. Weights of
 masked-out connections are kept at exactly zero, so the plain forward
@@ -35,6 +34,11 @@ from . import ops
 
 def _bias_size(bias) -> int:
     return 0 if bias is None else bias.size
+
+
+def _record(layer, **fields):
+    """A manifest record: the fields every kind has, then ``fields``."""
+    return dict(name=layer.name, kind=layer.kind, activation=layer.activation, **fields)
 
 
 def _check_settings(layer):
@@ -134,12 +138,31 @@ class MaskedLayer:
     def describe(self, shape):
         return {"dead_fraction": mask_dead_fraction(self.mask), "compress": self.compress}
 
+    def to_record(self, blob):  # weights, then bias, in the blob
+        offset, length = blob.add(self.weight)
+        return _record(self, **dict(zip(self.shape_fields, self.weight.shape)),
+                       **{key: getattr(self, key) for key in self.setting_fields},
+                       compress=self.compress, blob_offset=offset, blob_length=length,
+                       **blob.bias(self.bias), **blob.mask(self.name, self.mask),
+                       **blob.grouping(self.name, self.grouping))
+
+    @classmethod
+    def from_record(cls, rec, blob):
+        name, shape = rec["name"], tuple(rec[key] for key in cls.shape_fields)
+        return cls(name, blob.fetch(rec, shape, name), blob.bias(rec, shape[0]),
+                   activation=rec["activation"], compress=rec["compress"],
+                   mask=blob.mask(rec, shape[:2]), grouping=blob.grouping(rec, shape[0]),
+                   **{key: rec[key] for key in cls.setting_fields})
+
 
 @dataclass
 class ConvLayer(MaskedLayer):
     kind = "conv2d"
     stride: int = 1
     padding: int = 0
+    # record fields: one per weight dimension (the kernel is square), then settings
+    shape_fields = ("out_channels", "in_channels", "kernel_size", "kernel_size")
+    setting_fields = ("stride", "padding")
 
     def linear(self, x, saved=None):
         return ops.conv2d_forward(x, self.weight, self.bias, stride=self.stride,
@@ -160,25 +183,12 @@ class ConvLayer(MaskedLayer):
         return _conv_out_shape(self.name, shape, c_in, c_out, kernel,
                                self.stride, self.padding)
 
-    def to_record(self, add):
-        c_out, c_in, k, _ = self.weight.shape
-        offset, length = add(self.weight)
-        return dict(out_channels=c_out, in_channels=c_in, kernel_size=k, stride=self.stride,
-                    padding=self.padding, compress=self.compress,
-                    blob_offset=offset, blob_length=length)
-
-    @classmethod
-    def from_record(cls, rec, blob):
-        name, c_out, k = rec["name"], rec["out_channels"], rec["kernel_size"]
-        return cls(name, blob.fetch(rec, (c_out, rec["in_channels"], k, k), name),
-                   blob.bias(rec, c_out), stride=rec["stride"], padding=rec["padding"],
-                   activation=rec["activation"], compress=rec["compress"])
-
 
 @dataclass
 class FcLayer(MaskedLayer):
     kind = "fc"
     kernel, stride, padding = 1, 1, 0  # a kernel-1 conv on flat input
+    shape_fields, setting_fields = ("out_features", "in_features"), ()
 
     def linear(self, x, saved=None):
         x = flatten_batch(x, self.weight.shape[1], self.name)
@@ -191,19 +201,6 @@ class FcLayer(MaskedLayer):
 
     def out_shape(self, shape):
         return _flat_out_shape(self.name, shape, self.weight.shape[1], self.weight.shape[0])
-
-    def to_record(self, add):
-        c_out, c_in = self.weight.shape
-        offset, length = add(self.weight)
-        return dict(out_features=c_out, in_features=c_in, compress=self.compress,
-                    blob_offset=offset, blob_length=length)
-
-    @classmethod
-    def from_record(cls, rec, blob):
-        name, c_out = rec["name"], rec["out_features"]
-        return cls(name, blob.fetch(rec, (c_out, rec["in_features"]), name),
-                   blob.bias(rec, c_out), activation=rec["activation"],
-                   compress=rec["compress"])
 
 
 @dataclass
@@ -259,16 +256,17 @@ class GroupConvLayer:
         return _conv_out_shape(self.name, shape, self.in_channels, self.out_channels,
                                self.kernel, self.stride, self.padding)
 
-    def to_record(self, add):
+    def to_record(self, blob):  # block weights, then bias, in the blob
         groups = []
         for block in self.groups:
-            offset, length = add(block.weight)
+            offset, length = blob.add(block.weight)
             groups.append({"filters": [int(v) for v in block.filter_indices],
                            "channels": [int(v) for v in block.channel_indices],
                            "blob_offset": offset, "blob_length": length})
-        return dict(out_channels=self.out_channels, in_channels=self.in_channels,
-                    kernel_size=self.kernel, stride=self.stride, padding=self.padding,
-                    source=self.source, compress=False, groups=groups)
+        return _record(self, out_channels=self.out_channels, in_channels=self.in_channels,
+                       kernel_size=self.kernel, stride=self.stride, padding=self.padding,
+                       source=self.source, compress=False, groups=groups,
+                       **blob.bias(self.bias))
 
     @classmethod
     def from_record(cls, rec, blob):
@@ -359,10 +357,10 @@ class AffineLayer:
                              f"got {channels}")
         return tuple(shape)
 
-    def to_record(self, add):  # the shift takes the bias range
-        (offset, length), (shift_offset, shift_length) = add(self.scale), add(self.shift)
-        return dict(channels=int(self.scale.size), blob_offset=offset, blob_length=length,
-                    bias_offset=shift_offset, bias_length=shift_length)
+    def to_record(self, blob):  # the shift takes the bias range
+        offset, length = blob.add(self.scale)
+        return _record(self, channels=int(self.scale.size), blob_offset=offset,
+                       blob_length=length, **blob.bias(self.shift))
 
     @classmethod
     def from_record(cls, rec, blob):

@@ -50,10 +50,12 @@ class TrainConfig:
     def __post_init__(self):
         _check_fields(self, {"epochs": 0, "batch_size": 1}, ("lr",))
         steps = self.lr_milestones
-        if not isinstance(steps, (tuple, list)) or not all(
-                isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 0
-                for m in steps):
+        if not isinstance(steps, (tuple, list)) or not all(map(_natural, steps)):
             raise ValueError(f"lr_milestones must be a sequence of integers >= 0, got {steps!r}")
+        seeds = self.seed if isinstance(self.seed, (tuple, list)) else [self.seed]
+        if not seeds or not all(map(_natural, seeds)):
+            raise ValueError(f"seed must be an integer >= 0 or a non-empty sequence of "
+                             f"them, got {self.seed!r}")
 
 
 @dataclass
@@ -85,6 +87,11 @@ class PruneSchedule:
                 )
         if self.finetune not in FINETUNE_MODES:
             raise ValueError(f"finetune must be one of {FINETUNE_MODES}, got {self.finetune!r}")
+
+
+def _natural(value) -> bool:
+    """Whether ``value`` is an integer >= 0; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def _check_fields(config, minimums: dict, rates: tuple) -> None:

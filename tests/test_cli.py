@@ -301,6 +301,34 @@ def test_sweep_rows_follow_grid_order(workspace):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_sweep_seed_is_the_seeds_axis(workspace):
+    """Only prune has --seed; on sweep it is --seeds' prefix, so the rows
+    carry the seed given rather than the default."""
+    out_csv = workspace / "sweep4.csv"
+    code = main(["sweep", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--groups", "4", "--steps", "0.3",
+                 "--scopes", "fc", "--target", "0.6", "--seed", "7",
+                 "--finetune", "none", "--out", str(out_csv)])
+    assert code == 0
+    assert [row["seed"] for row in csv.DictReader(out_csv.open())] == ["7"]
+
+
+@pytest.mark.parametrize("command, flag, item", [
+    ("report --input-shape 3,a,8", "--input-shape", "a"),
+    ("sweep --groups 2.5", "--groups", "2.5"),
+    ("sweep --steps 0.3,x", "--steps", "x"),
+    ("sweep --seeds a", "--seeds", "a"),
+])
+def test_bad_list_item_exits_2_naming_flag_and_item(workspace, capsys, command, flag, item):
+    name, *flags = command.split()
+    extra = ["--data", str(workspace / "train.sgd"), "--out", str(workspace / "s.csv")]
+    code = main([name, "--model", str(workspace / "toy.sgm.json"), *flags,
+                 *(extra if name == "sweep" else [])])
+    assert code == 2
+    assert f"{flag}: {item!r} is not a valid" in capsys.readouterr().err
+    assert not (workspace / "s.csv").exists()
+
+
 def test_bad_dataset_path_exits_2(workspace, capsys):
     code = main(["eval", "--model", str(workspace / "toy.sgm.json"),
                  "--data", str(workspace / "nope.sgd")])

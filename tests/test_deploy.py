@@ -194,9 +194,11 @@ def test_failed_equivalence_check_names_the_first_layer_over_tolerance(monkeypat
 
 def test_equivalence_check_needs_an_input():
     model = build_toy_cnn(6)
-    for count in (0, -5):
+    for count in (0, -5, 2.5, True):
         with pytest.raises(ValueError, match=f"n_inputs={count}"):
             verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=count)
+        with pytest.raises(ValueError, match=f"n_inputs={count}"):
+            layer_deviations(model, convert_model(model), (3, 8, 8), n_inputs=count)
 
 
 def test_models_without_layers_deviate_by_0():

@@ -227,6 +227,9 @@ def test_degenerate_arguments_rejected(rng):
     for num_groups in (0, -2):
         with pytest.raises(ValueError, match="num_groups must be >= 1"):
             kmeans_cluster(vectors, num_groups, 0)
+    for num_groups in (2.5, True):  # before any work: range(2.5) raises a bare TypeError
+        with pytest.raises(ValueError, match="num_groups must be an integer"):
+            kmeans_cluster(vectors, num_groups, 0)
 
 
 # ---------------------------------------------------------------- polish reference

@@ -1,5 +1,6 @@
 """Manifest/blob persistence and the .sgd dataset format."""
 import contextlib
+import dataclasses
 import json
 import struct
 import tempfile
@@ -17,7 +18,8 @@ from sgconv.cli import main
 from sgconv.data import MAGIC, load_dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_layer
 from sgconv.io import (KINDS, ModelFormatError, OverlappingRangesError, TruncatedBlobError,
-                       VersionMismatchError, load_model, save_model, sgm_paths)
+                       VersionMismatchError, _BlobReader, _BlobWriter, load_model, save_model,
+                       sgm_paths)
 from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
 from sgconv.ops import ACTIVATIONS
 
@@ -366,6 +368,40 @@ def test_random_chains_of_every_kind_roundtrip(data):
             assert a.read_bytes() == b.read_bytes()
     x = np.random.default_rng(0).standard_normal((2, *shape)).astype(np.float32)
     assert model.forward(x).tobytes() == loaded.forward(x).tobytes()
+
+
+def assert_same(a, b, what):
+    """Two layers, or parts of them, equal field by field; arrays in values and dtype."""
+    assert type(a) is type(b), what
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.compare:
+                assert_same(getattr(a, f.name), getattr(b, f.name), f"{what}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype, what
+        np.testing.assert_array_equal(a, b, err_msg=what)
+    elif isinstance(a, list):
+        assert len(a) == len(b), what
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{what}[{i}]")
+    else:
+        assert a == b, what
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_every_record_reads_back_its_layer(data):
+    """A layer's record holds all of it: from_record, given only what to_record
+    stored through the in-memory blob writer (its records, masks and
+    groupings as JSON, as a manifest holds them), rebuilds the weights,
+    bias, mask, grouping and settings."""
+    model, _ = random_kind_chain(data)
+    writer = _BlobWriter()
+    records = json.loads(json.dumps([layer.to_record(writer) for layer in model.layers]))
+    masks, groupings = json.loads(json.dumps([writer.masks, writer.groupings]))
+    reader = _BlobReader(writer.bytes(), "memory", masks, groupings)
+    for layer, rec in zip(model.layers, records, strict=True):
+        assert_same(layer, KINDS[rec["kind"]].from_record(rec, reader), layer.name)
 
 
 DELETE = object()

@@ -134,10 +134,12 @@ def test_train_config_rejects_bad_epochs_and_lr():
     for field, bad in [("epochs", -1), ("lr", -0.01), ("lr", float("nan")),
                        ("lr", float("inf")), ("lr_milestones", ("a",)),
                        ("epochs", 2.5), ("epochs", True), ("batch_size", 8.0),
-                       ("batch_size", False)]:
+                       ("batch_size", False), ("seed", -1), ("seed", 2.5), ("seed", True),
+                       ("seed", [1, -2]), ("seed", [1, 2.0]), ("seed", []), ("seed", "3")]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: bad})
     assert TrainConfig(epochs=0, lr=0.0).epochs == 0
+    assert TrainConfig(seed=(np.int64(3), 0)).seed == (3, 0)
 
 
 def test_cached_forward_is_model_forward(rng):

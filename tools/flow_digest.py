@@ -6,11 +6,14 @@ two listings:
 
     python tools/flow_digest.py
 
-It builds three models in a temporary directory: the toy CNN, fine-tuned
-first, and perfbench's planted 64-channel net (``build_wide_net``) at
-16x16 and 32x32. The toy net is pruned with ``--finetune local+global``,
-the wide nets with ``--finetune none``, and each pruned model is then
-deployed, reported with ``--json`` and evaluated; each net also runs a
+It builds four models in a temporary directory: the toy CNN and a net
+that holds every layer record kind (the toy CNN with a frozen affine
+layer after conv1 and no conv2 bias, so its pruned fc is deployed as a
+group layer), each fine-tuned first, and perfbench's planted 64-channel
+net (``build_wide_net``) at 16x16 and 32x32. The toy net is pruned with
+``--finetune local+global``, the every-kind net with ``--finetune
+global``, the wide nets with ``--finetune none``, and each pruned model
+is then deployed, reported with ``--json`` and evaluated; each net also runs a
 two-cell sweep. Every command runs in-process through ``sgconv.cli.main``
 on relative paths, so no temporary path reaches an output. The listing
 digests the model manifests and blobs, each prune report's ``schedule``
@@ -36,6 +39,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
@@ -47,6 +52,8 @@ from workloads import build_wide_net  # noqa: E402
 FLOWS = (
     ("toy", 8, ["--finetune", "local+global", "--local-epochs", "1", "--global-epochs", "3"],
      ["--seed", "42"]),
+    ("kinds", 8, ["--finetune", "global", "--global-epochs", "2"],
+     ["--groups", "4", "--seed", "5"]),
     ("wide16", 16, ["--finetune", "none"],
      ["--step", "0.1", "--target-conv", "0.75", "--target-fc", "0.5", "--seed", "3"]),
     ("wide32", 32, ["--finetune", "none"],
@@ -70,14 +77,21 @@ def run(argv) -> str:
 
 def build(net: str, size: int) -> None:
     """Write ``<net>.sgm.*``, ``<net>-train.sgd`` and ``<net>-test.sgd``."""
-    kw = {} if net == "toy" else dict(num_classes=8, image_size=size)
-    train = data.make_blob_dataset(300 if net == "toy" else 128, seed=[size, 1], **kw)
-    test = data.make_blob_dataset(150 if net == "toy" else 128, seed=[size, 2], **kw)
-    if net == "toy":
-        dense = model.build_toy_cnn(seed=0)
-        pipeline.sgd_finetune(dense, train, pipeline.TrainConfig(epochs=4, lr=0.01, seed=0))
-    else:
+    wide = net.startswith("wide")
+    kw = dict(num_classes=8, image_size=size) if wide else {}
+    train = data.make_blob_dataset(128 if wide else 300, seed=[size, 1], **kw)
+    test = data.make_blob_dataset(128 if wide else 150, seed=[size, 2], **kw)
+    if wide:
         dense = build_wide_net([size, 4], 64, train)
+    else:
+        dense = model.build_toy_cnn(seed=0)
+        if net == "kinds":
+            rng = np.random.default_rng(5)
+            dense.layer("conv2").bias = None
+            dense.layers.insert(1, model.AffineLayer(
+                "bn1", rng.uniform(0.5, 1.5, 8).astype(np.float32),
+                rng.uniform(-0.1, 0.1, 8).astype(np.float32)))
+        pipeline.sgd_finetune(dense, train, pipeline.TrainConfig(epochs=4, lr=0.01, seed=0))
     data.save_dataset(train, f"{net}-train.sgd")
     data.save_dataset(test, f"{net}-test.sgd")
     save_model(dense, *sgm_paths(net))
