@@ -90,6 +90,7 @@ def _repair_empty(assignment, vectors, centroids, num_groups):
 
 
 MAX_LLOYD_ITERATIONS = 300  # per restart; Lloyd stops earlier once an assignment repeats
+MAX_POLISH_PASSES = 30  # per restart; the polish's passes repeat once a start repeats
 
 
 def _lloyd(vectors, num_groups, rng):
@@ -167,7 +168,7 @@ def _first_move(vectors, assignment, members, costs, start):
     return None
 
 
-def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
+def _refine_unsquared(vectors, assignment, num_groups):
     """Greedy single-point moves that lower the unsquared objective.
 
     Points are visited in index order and each moves at once to the first
@@ -179,7 +180,7 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     group's cost is that member set's lone-group cost. So once a pass
     starts from an earlier pass's assignment the passes repeat with that
     period (1 after a pass without moves), and the assignment that
-    ``max_passes`` passes end on is read off the ones recorded.
+    MAX_POLISH_PASSES passes end on is read off the ones recorded.
     """
     assignment = assignment.copy()
     if num_groups == 1 or num_groups >= len(vectors):
@@ -187,11 +188,11 @@ def _refine_unsquared(vectors, assignment, num_groups, max_passes=30):
     members = [np.flatnonzero(assignment == d) for d in range(num_groups)]
     costs = np.array([_cost(vectors, own) for own in members])
     starts, first_pass = [], {}  # start assignment of each pass; pass of each start
-    for done in range(max_passes):
+    for done in range(MAX_POLISH_PASSES):
         key = assignment.tobytes()
         if key in first_pass:
             first = first_pass[key]
-            return starts[first + (max_passes - first) % (done - first)]
+            return starts[first + (MAX_POLISH_PASSES - first) % (done - first)]
         first_pass[key] = done
         starts.append(assignment.copy())
         start = 0

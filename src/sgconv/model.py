@@ -6,7 +6,8 @@ with the five methods callers use instead of branching on ``kind``:
 dict in which the layer keeps what its backward can reuse; backward
 takes it out of the dict again, so it lives no longer than the step),
 ``backward(x, dz, saved=None, need_dx=True)`` -> (dx, or None without
-need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``,
+need_dx; (dweight, dbias) or None when frozen), ``out_shape(shape)``
+(raising as ``linear`` does on such samples, by one rule per kind),
 ``macs(shape)`` per sample, and ``params()``. Each kind also carries
 ``executed_macs(shape)`` (what its kernel runs per sample: macs(shape)
 except for a group layer that runs one dense GEMM),
@@ -71,35 +72,13 @@ MAX_LAYER_VALUES = 2 ** 28
 
 
 def _conv_out_shape(name, shape, c_in, c_out, kernel, stride, padding):
-    if len(shape) != 3:
-        raise ValueError(f"layer {name!r} needs a (C,H,W) input, got {shape}")
-    if shape[0] != c_in:
-        raise ValueError(f"layer {name!r} expects {c_in} channels, got {shape[0]}")
-    ho = ops.conv_out_size(shape[1], kernel, stride, padding)
-    wo = ops.conv_out_size(shape[2], kernel, stride, padding)
-    if ho < 1 or wo < 1:
-        raise ValueError(f"layer {name!r} output collapses on input {shape}")
+    ho, wo = ops._conv_hw(shape, c_in, kernel, stride, padding, name)
     padded = (c_in, shape[1] + 2 * padding, shape[2] + 2 * padding)
     for what, dims in (("padded input", padded), ("output", (c_out, ho, wo))):
         if math.prod(dims) > MAX_LAYER_VALUES:
             raise ValueError(f"layer {name!r}: {what} {dims} holds more than "
                              f"{MAX_LAYER_VALUES} values per sample")
     return (c_out, ho, wo)
-
-
-def _flat_out_shape(name, shape, c_in, c_out):
-    width = int(np.prod(shape))
-    if width != c_in:
-        raise ValueError(f"layer {name!r} expects width {c_in}, got {width}")
-    return (c_out,)
-
-
-def flatten_batch(x, width, name):
-    if x.ndim != 2:  # (N,) scalar samples too: each is one value wide
-        x = x.reshape(x.shape[0], -1)
-    if x.shape[1] != width:
-        raise ValueError(f"{name}: input width {x.shape[1]} != expected {width}")
-    return x
 
 
 @dataclass
@@ -115,8 +94,18 @@ class MaskedLayer:
 
     def __post_init__(self):
         _check_settings(self)
+        shape = self.weight.shape
+        if len(shape) != len(self.shape_fields) or shape[2:] != (self.kernel,) * (len(shape) - 2):
+            raise ValueError(f"layer {self.name!r}: weight shape {shape} is not "
+                             f"({', '.join(self.shape_fields)})")
+        if self.bias is not None and self.bias.shape != shape[:1]:
+            raise ValueError(f"layer {self.name!r}: bias shape {self.bias.shape} is not "
+                             f"({shape[0]},)")
         if self.mask is None:
-            self.mask = np.ones(self.weight.shape[:2], dtype=bool)
+            self.mask = np.ones(shape[:2], dtype=bool)
+        if self.mask.dtype != bool or self.mask.shape != shape[:2]:
+            raise ValueError(f"layer {self.name!r}: mask must be a bool {shape[:2]} array, "
+                             f"got {self.mask.dtype} {self.mask.shape}")
 
     @property
     def kernels(self) -> np.ndarray:
@@ -191,16 +180,15 @@ class FcLayer(MaskedLayer):
     shape_fields, setting_fields = ("out_features", "in_features"), ()
 
     def linear(self, x, saved=None):
-        x = flatten_batch(x, self.weight.shape[1], self.name)
         return ops.fc_forward(x, self.weight, self.bias, name=self.name)
 
     def backward(self, x, dz, saved=None, need_dx=True):
-        flat = flatten_batch(x, self.weight.shape[1], self.name)
-        dx, dw, db = ops.fc_backward(dz, flat, self.weight, name=self.name, need_dx=need_dx)
-        return None if dx is None else dx.reshape(x.shape), (dw, db)
+        dx, dw, db = ops.fc_backward(dz, x, self.weight, name=self.name, need_dx=need_dx)
+        return dx, (dw, db)
 
     def out_shape(self, shape):
-        return _flat_out_shape(self.name, shape, self.weight.shape[1], self.weight.shape[0])
+        ops._fc_width(shape, self.weight.shape[1], self.name)
+        return (self.weight.shape[0],)
 
 
 @dataclass
@@ -241,7 +229,6 @@ class GroupConvLayer:
 
     def linear(self, x, saved=None):
         if self.source == "fc":
-            x = flatten_batch(x, self.in_channels, self.name)
             return ops.group_fc_forward(x, self.plan, self.bias)
         return ops.group_conv_forward(x, self.plan, self.bias, stride=self.stride,
                                       padding=self.padding)
@@ -252,7 +239,8 @@ class GroupConvLayer:
 
     def out_shape(self, shape):
         if self.source == "fc":
-            return _flat_out_shape(self.name, shape, self.in_channels, self.out_channels)
+            ops._fc_width(shape, self.in_channels, self.name)
+            return (self.out_channels,)
         return _conv_out_shape(self.name, shape, self.in_channels, self.out_channels,
                                self.kernel, self.stride, self.padding)
 
@@ -340,11 +328,15 @@ class AffineLayer:
 
     def __post_init__(self):
         _check_settings(self)
+        if self.scale.ndim != 1 or self.shift.shape != self.scale.shape:
+            raise ValueError(f"layer {self.name!r}: scale and shift must both be (C,), "
+                             f"got {self.scale.shape} and {self.shift.shape}")
 
     def _per_channel(self, v, ndim):
         return v.reshape(1, -1, *([1] * (ndim - 2)))
 
     def linear(self, x, saved=None):
+        self.out_shape(x.shape[1:])
         return x * self._per_channel(self.scale, x.ndim) + self._per_channel(self.shift, x.ndim)
 
     def backward(self, x, dz, saved=None, need_dx=True):
@@ -390,6 +382,13 @@ class Model:
         for layer in self.layers:
             x = layer_forward(layer, x)
         return x
+
+    def out_shape(self, input_shape):
+        """Per-sample output shape on ``input_shape``, by the walk of layer_inputs."""
+        shape = tuple(int(v) for v in input_shape)
+        for layer in self.layers:
+            shape = layer.out_shape(shape)
+        return shape
 
     def layer_inputs(self, input_shape):
         """Each layer with its per-sample input shape, walking ``input_shape``

@@ -16,6 +16,7 @@ contiguous adds, bit-identical to a per-sample GEMM and col2im scatter.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -162,19 +163,31 @@ def _conv_input_grad(dout, weight, x_shape, stride, padding):
     return dpad[:, :, padding:padding + h, padding:padding + w]
 
 
-def _conv_out_hw(x, c_in, kernel, stride, padding, name):
-    """Output (Ho, Wo) of a k x k conv on ``x``; raises ValueError naming the
-    layer unless x is (N, c_in, H, W) and the kernel fits it."""
-    if x.ndim != 4:
-        raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got shape {tuple(x.shape)}")
-    if x.shape[1] != c_in:
-        raise ValueError(f"{name}: input has {x.shape[1]} channels, weights expect {c_in}")
-    ho = conv_out_size(x.shape[2], kernel, stride, padding)
-    wo = conv_out_size(x.shape[3], kernel, stride, padding)
+def _conv_hw(shape, c_in, kernel, stride, padding, name):
+    """Output (Ho, Wo) of a k x k conv on samples of ``shape``; raises ValueError
+    naming the layer unless they are (c_in, H, W) and the kernel fits them.
+    The shape walk and every conv kernel check their input here."""
+    if len(shape) != 3:
+        raise ValueError(f"{name}: expected 4-d input (N,C,H,W), got samples of shape "
+                         f"{tuple(shape)}")
+    if shape[0] != c_in:
+        raise ValueError(f"{name}: input has {shape[0]} channels, weights expect {c_in}")
+    ho = conv_out_size(shape[1], kernel, stride, padding)
+    wo = conv_out_size(shape[2], kernel, stride, padding)
     if ho < 1 or wo < 1:
         raise ValueError(f"{name}: kernel {kernel} stride {stride} pad {padding} does not fit "
-                         f"input {x.shape[2]}x{x.shape[3]}")
+                         f"input {shape[1]}x{shape[2]}")
     return ho, wo
+
+
+def _fc_width(shape, c_in, name):
+    """Width of a flattened sample of ``shape``; raises ValueError naming the
+    layer unless it is c_in. The shape walk and every fc kernel check their
+    input here, and the kernels flatten (N, ...) input to (N, width)."""
+    width = math.prod(shape)
+    if width != c_in:
+        raise ValueError(f"layer {name!r} expects width {c_in}, got {width}")
+    return width
 
 
 def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d",
@@ -189,7 +202,7 @@ def conv2d_forward(x, weight, bias=None, *, stride=1, padding=0, name="conv2d",
     if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
         raise ValueError(f"{name}: expected square (C_out,C_in,k,k) weights, got {tuple(weight.shape)}")
     c_out, c_in, kernel, _ = weight.shape
-    ho, wo = _conv_out_hw(x, c_in, kernel, stride, padding, name)
+    ho, wo = _conv_hw(x.shape[1:], c_in, kernel, stride, padding, name)
     cols = _im2col(x, kernel, stride, padding)
     if saved is not None:
         saved["cols"] = cols
@@ -229,27 +242,23 @@ def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d",
 
 
 def fc_forward(x, weight, bias=None, *, name="fc"):
-    """Fully-connected layer: y = x @ W.T (+ bias), weights (C_out, C_in)."""
-    if x.ndim != 2:
-        raise ValueError(f"{name}: expected 2-d input (N,C_in), got shape {tuple(x.shape)}")
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(
-            f"{name}: input width {x.shape[1]} != weight C_in {weight.shape[1]}"
-        )
-    out = x @ weight.T
+    """Fully-connected layer: y = x @ W.T (+ bias), weights (C_out, C_in),
+    on (N, ...) input whose samples flatten to C_in values."""
+    out = x.reshape(x.shape[0], _fc_width(x.shape[1:], weight.shape[1], name)) @ weight.T
     if bias is not None:
         out = out + bias
     return out
 
 
 def fc_backward(dout, x, weight, *, name="fc", need_dx=True):
-    """Gradients of fc_forward; returns (dx, dweight, dbias), dx None
-    without ``need_dx``."""
+    """Gradients of fc_forward; returns (dx, dweight, dbias), dx in x's shape
+    and None without ``need_dx``."""
+    flat = x.reshape(x.shape[0], _fc_width(x.shape[1:], weight.shape[1], name))
     expected = (x.shape[0], weight.shape[0])
     if tuple(dout.shape) != expected:
         raise ValueError(f"{name}: upstream gradient shape {tuple(dout.shape)} != {expected}")
-    dx = dout @ weight if need_dx else None
-    dweight = dout.T @ x
+    dx = (dout @ weight).reshape(x.shape) if need_dx else None
+    dweight = dout.T @ flat
     dbias = dout.sum(axis=0)
     return dx, dweight, dbias
 
@@ -373,11 +382,11 @@ def group_conv_forward(x, plan, bias=None, *, stride=1, padding=0):
     GEMM shapes and summation order as a dense conv of the gathered
     channels, so outputs do not depend on the chunk size.
     """
-    kernel, c_out = plan.kernel, plan.out_channels
-    ho, wo = _conv_out_hw(x, plan.in_channels, kernel, stride, padding, plan.name)
     if plan.dense_weight is not None:
         return conv2d_forward(x, plan.dense_weight, bias, stride=stride, padding=padding,
                               name=plan.name)
+    kernel, c_out = plan.kernel, plan.out_channels
+    ho, wo = _conv_hw(x.shape[1:], plan.in_channels, kernel, stride, padding, plan.name)
     n = x.shape[0]
     out = np.zeros((n, c_out, ho * wo), dtype=x.dtype)
     if plan.blocks:
@@ -394,20 +403,17 @@ def group_conv_forward(x, plan, bias=None, *, stride=1, padding=0):
 
 
 def group_fc_forward(x, plan, bias=None):
-    """Grouped fully-connected layer on (N, C_in) input; blocks are (n_f, n_c).
+    """Grouped fully-connected layer on (N, ...) input flattened to (N, C_in);
+    blocks are (n_f, n_c).
 
     Same gather/scatter contract and executor choice as group_conv_forward
     (kernel 1): a "dense" plan runs one fc_forward on its zero-filled
     weight, and each grouped block runs the fc matmul on the whole batch.
     """
-    name = plan.name
-    if x.ndim != 2:
-        raise ValueError(f"{name}: expected 2-d input (N,C_in), got shape {tuple(x.shape)}")
-    if x.shape[1] != plan.in_channels:
-        raise ValueError(f"{name}: input has {x.shape[1]} channels, "
-                         f"weights expect {plan.in_channels}")
     if plan.dense_weight is not None:
-        return fc_forward(x, plan.dense_weight.reshape(plan.out_channels, -1), bias, name=name)
+        return fc_forward(x, plan.dense_weight.reshape(plan.out_channels, -1), bias,
+                          name=plan.name)
+    x = x.reshape(x.shape[0], _fc_width(x.shape[1:], plan.in_channels, plan.name))
     out = np.zeros((x.shape[0], plan.out_channels), dtype=x.dtype)
     if plan.blocks:
         union = np.take(x, plan.union, axis=1)

@@ -48,7 +48,7 @@ class TrainConfig:
     seed: object = 0                   # int or sequence of ints
 
     def __post_init__(self):
-        _check_fields(self, {"epochs": 0, "batch_size": 1}, ("lr",))
+        _check_fields(self, {"epochs": 0, "batch_size": 1}, {"lr": ">= 0"})
         steps = self.lr_milestones
         if not isinstance(steps, (tuple, list)) or not all(map(_natural, steps)):
             raise ValueError(f"lr_milestones must be a sequence of integers >= 0, got {steps!r}")
@@ -74,13 +74,10 @@ class PruneSchedule:
 
     def __post_init__(self):
         _check_fields(self, {"num_groups": 1, "local_epochs": 0, "global_epochs": 0,
-                             "batch_size": 1, "seed": 0}, ("local_lr", "global_lr"))
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and positive, got {self.step}: "
-                             "targets are unreachable otherwise")
+                             "batch_size": 1, "seed": 0},
+                      {"step": "positive", "target_conv": "in [0, 1]", "target_fc": "in [0, 1]",
+                       "local_lr": ">= 0", "global_lr": ">= 0"})
         for kind, target in (("conv", self.target_conv), ("fc", self.target_fc)):
-            if not 0 <= target <= 1:
-                raise ValueError(f"target_{kind} must be in [0, 1], got {target}")
             if target > 0 and self.step > target + RATIO_EPS:
                 raise ValueError(
                     f"step {self.step} exceeds target_{kind} {target}; use step <= target"
@@ -94,20 +91,40 @@ def _natural(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
-def _check_fields(config, minimums: dict, rates: tuple) -> None:
+# The range of each real-valued setting, by the words its error uses.
+REAL_RANGES = {"positive": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+               "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _check_fields(config, minimums: dict, reals: dict) -> None:
     """Reject a setting of ``config`` that no run can use, naming its field:
     a ``minimums`` field that is not an integer (a bool is not one) or is
-    below its minimum; a ``rates`` field that is negative or not finite."""
+    below its minimum; a ``reals`` field that is not a finite real number
+    (a bool is not one) in its REAL_RANGES range."""
     for key, low in minimums.items():
         value = getattr(config, key)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{key} must be an integer, got {value!r}")
         if value < low:
             raise ValueError(f"{key} must be >= {low}, got {value}")
-    for key in rates:
+    for key, bounds in reals.items():
         value = getattr(config, key)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        # every integer is finite, and math.isfinite overflows on a huge one
+        if not (real and (isinstance(value, numbers.Integral) or math.isfinite(value))
+                and REAL_RANGES[bounds](value)):
+            raise ValueError(f"{key} must be finite and {bounds}, got {value!r}")
+
+
+def _check_class_scores(model, dataset) -> None:
+    """Walk the dataset's sample shape through the model, which raises by the
+    layer's name where one cannot take its input (before any forward or its
+    allocation), and require class scores: a 1-d output at least as wide as
+    the dataset has classes."""
+    shape = model.out_shape(dataset.features.shape[1:])
+    if len(shape) != 1 or shape[0] < dataset.num_classes:
+        raise ValueError(f"dataset has {dataset.num_classes} classes but model outputs "
+                         f"shape {shape}, not a vector at least that wide")
 
 
 def _softmax_cross_entropy(logits, labels):
@@ -159,11 +176,13 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
     connections never revive. Returns each epoch's mean training loss
     over its samples, each batch's loss taken before that batch's update;
     call evaluate for accuracy. Raises RuntimeError if the loss stops
-    being finite, and ValueError for a deployed model, whose group layers
-    have no backward pass.
+    being finite, and ValueError, before any forward, for a model whose
+    output is not class scores, or once a deployed model's group layers
+    are asked for the backward pass they do not have.
     """
     if dataset is None or len(dataset) == 0:
         raise ValueError("fine-tuning needs a non-empty dataset")
+    _check_class_scores(model, dataset)
     rng = np.random.default_rng(config.seed)
     velocity = {}
     losses = []
@@ -176,9 +195,6 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
             idx = order[start:start + config.batch_size]
             x, y = dataset.features[idx], dataset.labels[idx]
             logits, caches = _forward_cached(model, x)
-            if dataset.num_classes > logits.shape[1]:
-                raise ValueError(f"dataset has {dataset.num_classes} classes but "
-                                 f"model outputs width {logits.shape[1]}")
             loss, dlogits = _softmax_cross_entropy(logits, y)
             if not math.isfinite(loss):
                 raise RuntimeError(
@@ -207,30 +223,25 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
 def evaluate(model: Model, dataset: Dataset) -> dict:
     """Top-1 accuracy, plus top-5 when the label space has >= 5 classes.
 
-    Argmax ties resolve to the lowest class index. The dataset is forwarded
-    in batches sized by ``batch_size_for``: the largest, at most 512, for
-    which no layer runs more than ``deploy.BATCH_MACS`` multiply-adds per
-    batch. Conv and affine outputs do not depend on the batch size, fc
-    logits only in their last bits.
+    Argmax ties resolve to the lowest class index. A model whose output
+    is not class scores raises ValueError before any forward. The dataset
+    is forwarded in batches sized by ``batch_size_for``: the largest, at
+    most 512, for which no layer runs more than ``deploy.BATCH_MACS``
+    multiply-adds per batch. Conv and affine outputs do not depend on the
+    batch size, fc logits only in their last bits.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    # sizing walks the sample shape through every layer first: a sample the model
-    # cannot take fails here by the layer's name, not inside a forward or its allocation
+    _check_class_scores(model, dataset)
     batch_size = batch_size_for(model, dataset.features.shape[1:])
     top1 = 0
     top5 = 0
     want_top5 = dataset.num_classes >= 5
-    width = None
     for start in range(0, n, batch_size):
         x = dataset.features[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]
         logits = model.forward(x)
-        width = logits.shape[1]
-        if dataset.num_classes > width:
-            raise ValueError(f"dataset has {dataset.num_classes} classes but "
-                             f"model outputs width {width}")
         top1 += int((np.argmax(logits, axis=1) == y).sum())
         if want_top5:
             ranked = np.argsort(-logits, axis=1, kind="stable")[:, :5]

@@ -179,6 +179,26 @@ def test_eval_of_a_last_conv_padded_past_the_cap_exits_2_naming_it(workspace, ca
     assert "layer 'conv1': padded input (3, 2000008, 2000008)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "prune --finetune none", "prune --finetune global"])
+@pytest.mark.parametrize("head, shape", [("conv", "(4, 4, 4)"), ("narrow fc", "(1,)")])
+def test_a_model_without_class_scores_exits_2_naming_its_output_shape(tmp_path, capsys,
+                                                                      command, head, shape):
+    """A last conv or a head narrower than the 2 classes is refused before any
+    forward. The conv's (4, 4, 4) output on 4 samples of 6x6 once broadcast
+    against the labels and scored a top1 above 1."""
+    layers = [ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False)]
+    if head == "narrow fc":
+        layers.append(FcLayer("fc1", np.ones((1, 4 * 4 * 4), np.float32)))
+    save_model(Model(layers), *sgm_paths(tmp_path / "m"))
+    save_dataset(make_blob_dataset(4, image_size=6, seed=1), tmp_path / "d.sgd")
+    out = ["--out", str(tmp_path / "out")] if command.startswith("prune") else []
+    code = main([*command.split(), "--model", str(tmp_path / "m"),
+                 "--data", str(tmp_path / "d.sgd"), *out])
+    assert code == 2
+    assert f"dataset has 2 classes but model outputs shape {shape}" in capsys.readouterr().err
+    assert not (tmp_path / "out.sgm.json").exists()
+
+
 @pytest.mark.parametrize("command", ["report --input-shape 3,8,8", "eval --data {}/test.sgd",
                                      "report"])
 def test_affine_narrower_than_its_input_exits_2_naming_the_layer(workspace, capsys, command):

@@ -365,9 +365,11 @@ def test_polish_stopped_at_a_repeated_pass_matches_reference(case, max_passes):
     ends where ``max_passes`` passes of the reference end."""
     vectors, start, num_groups, _ = case
     num_groups = min(num_groups, len(vectors))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouping, "MAX_POLISH_PASSES", max_passes)
+        got = grouping._refine_unsquared(vectors, start, num_groups)
     np.testing.assert_array_equal(
-        grouping._refine_unsquared(vectors, start, num_groups, max_passes),
-        refine_unsquared_reference(vectors, start, num_groups, max_passes))
+        got, refine_unsquared_reference(vectors, start, num_groups, max_passes))
 
 
 def test_polish_of_constant_rows_stops_at_the_first_repeated_pass(monkeypatch):

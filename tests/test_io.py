@@ -24,6 +24,15 @@ from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, bui
 from sgconv.ops import ACTIVATIONS
 
 
+def rewrite(path, data):
+    """Write ``data`` (str or bytes) to ``path`` as a new file. The byte-fuzz
+    tests rewrite one file per example: ext4 flushes a file truncated and
+    rewritten in place when it is closed (its auto_da_alloc default), which
+    can cost tens of ms per write, while a file written afresh is not flushed."""
+    path.unlink(missing_ok=True)
+    (path.write_text if isinstance(data, str) else path.write_bytes)(data)
+
+
 def save_load(model, tmp_path, name="m"):
     manifest, blob = sgm_paths(tmp_path / name)
     save_model(model, manifest, blob)
@@ -462,7 +471,7 @@ def test_every_one_field_mutation_exits_0_or_2(tmp_path, rng, capsys):
     for rec, key in fields:
         for value in ODD_VALUES:
             original, rec[key] = rec[key], value
-            manifest.write_text(json.dumps(doc))
+            rewrite(manifest, json.dumps(doc))
             rec[key] = original
             for command in ("report", "eval"):
                 try:
@@ -531,8 +540,8 @@ def blob_exit(workdir, which, blob_bytes, command):
     """Exit code and stderr of ``command`` on model ``which`` with its blob
     replaced by ``blob_bytes``; the manifest is the saved one."""
     manifest, blob = sgm_paths(workdir / "case")
-    manifest.write_bytes((workdir / f"{which}.sgm.json").read_bytes())
-    blob.write_bytes(blob_bytes)
+    rewrite(manifest, (workdir / f"{which}.sgm.json").read_bytes())
+    rewrite(blob, blob_bytes)
     return run_cli(BLOB_COMMANDS[command](workdir / "case", workdir / "d.sgd"))
 
 
@@ -582,7 +591,7 @@ def fields_workdir(tmp_path_factory):
 def test_several_bad_manifest_fields_at_once_exit_0_or_2(fields_workdir, data):
     base_manifest, base_blob = sgm_paths(fields_workdir / "m")
     manifest, blob = sgm_paths(fields_workdir / "case")
-    blob.write_bytes(base_blob.read_bytes())
+    rewrite(blob, base_blob.read_bytes())
     doc = json.loads(base_manifest.read_text())
     records = {
         "groups": [g for rec in doc["layers"] for g in rec.get("groups", [])],
@@ -595,7 +604,7 @@ def test_several_bad_manifest_fields_at_once_exit_0_or_2(fields_workdir, data):
     for _, where, key, value in cases:
         targets = records.get(where) or [rec for rec in doc["layers"] if rec["kind"] == where]
         targets[data.draw(st.integers(0, len(targets) - 1))][key] = value
-    manifest.write_text(json.dumps(doc))
+    rewrite(manifest, json.dumps(doc))
     for command in ("report", "eval"):
         code, err = run_cli([command, "--model", str(manifest), "--data",
                              str(fields_workdir / "d.sgd")])
@@ -664,7 +673,7 @@ def test_dataset_truncation_and_magic(tmp_path):
 def eval_exit(workdir, data_bytes):
     """Exit code and stderr of ``sgconv eval`` of the toy net in ``workdir`` on a
     dataset file holding ``data_bytes``."""
-    (workdir / "d.sgd").write_bytes(data_bytes)
+    rewrite(workdir / "d.sgd", data_bytes)
     return run_cli(["eval", "--model", str(workdir / "toy"), "--data", str(workdir / "d.sgd")])
 
 

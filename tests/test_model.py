@@ -1,9 +1,13 @@
 """Layer records, model forward plumbing, masking."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_group_assignment, random_group_mask
 from sgconv import ops
-from sgconv.deploy import convert_model
+from sgconv.deploy import convert_layer, convert_model
+from sgconv.io import KINDS
 from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model, apply_mask,
                           layer_forward, validate_first_conv_uncompressed)
 
@@ -79,11 +83,29 @@ def test_first_conv_convention_enforced(rng):
     ({"stride": True}, "stride must be an integer >= 1"),
     ({"padding": -1}, "padding must be an integer >= 0"),
     ({"activation": "tanh"}, "activation 'tanh'"),
+    ({"weight": np.zeros((2, 3, 3, 5), np.float32)}, r"weight shape \(2, 3, 3, 5\) is not "
+     r"\(out_channels, in_channels, kernel_size, kernel_size\)"),
+    ({"weight": np.zeros((2, 3, 3), np.float32)}, r"weight shape \(2, 3, 3\) is not"),
+    ({"bias": np.zeros(5, np.float32)}, r"bias shape \(5,\) is not \(2,\)"),
+    ({"bias": np.zeros((2, 1), np.float32)}, r"bias shape \(2, 1\) is not \(2,\)"),
+    ({"mask": np.ones((2, 1), np.uint8)}, r"mask must be a bool \(2, 1\) array, got uint8"),
+    ({"mask": np.ones((1, 2), bool)}, r"mask must be a bool \(2, 1\) array, got bool \(1, 2\)"),
+    ({"layer": FcLayer, "weight": np.zeros((2, 1, 1, 1), np.float32)},
+     r"weight shape \(2, 1, 1, 1\) is not \(out_features, in_features\)"),
+    ({"layer": FcLayer, "bias": np.zeros(1, np.float32)}, r"bias shape \(1,\) is not \(2,\)"),
+    ({"layer": AffineLayer, "shift": np.zeros(3, np.float32)},
+     r"scale and shift must both be \(C,\), got \(2,\) and \(3,\)"),
+    ({"layer": AffineLayer, "scale": np.ones((2, 1), np.float32)},
+     r"scale and shift must both be \(C,\), got \(2, 1\) and \(2,\)"),
 ])
 def test_bad_layer_settings_are_rejected_naming_the_layer(rng, settings, match):
     w = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
+    settings = dict(settings)
+    layer = settings.pop("layer", ConvLayer)
+    arrays = {ConvLayer: {"weight": w}, FcLayer: {"weight": w[:, :, 0, 0]},
+              AffineLayer: {"scale": np.ones(2, np.float32), "shift": np.zeros(2, np.float32)}}
     with pytest.raises(ValueError, match=f"layer 'c': {match}"):
-        ConvLayer("c", w, **settings)
+        layer("c", **{**arrays[layer], **settings})
     assert ConvLayer("c", w, stride=np.int64(2), padding=np.int64(1)).stride == 2
 
 
@@ -96,3 +118,59 @@ def test_conv_shape_walk_caps_padded_input_and_output_per_sample():
     padded = ConvLayer("padded", np.zeros((1, 3, 3, 3), np.float32), padding=10**4)
     with pytest.raises(ValueError, match=r"layer 'padded': padded input \(3, 20008, 20008\)"):
         padded.out_shape((3, 8, 8))
+
+
+def random_layer(data, shape):
+    """A layer of one of the kinds in io.KINDS, group layers converted from conv
+    or fc, whose input width or channel count matches ``shape`` about half the time."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["conv2d", "fc", "affine_passthrough",
+                                      "groupconv", "groupfc"]), label="kind")
+    match = data.draw(st.booleans(), label="match")
+    c_in = data.draw(st.integers(1, 4), label="c_in")
+    if match and shape:
+        c_in = shape[0] if kind in ("conv2d", "groupconv", "affine_passthrough") \
+            else max(1, int(np.prod(shape)))
+    if kind == "affine_passthrough":
+        return AffineLayer("l", rng.standard_normal(c_in).astype(np.float32),
+                           rng.standard_normal(c_in).astype(np.float32))
+    c_out = data.draw(st.integers(1, 4), label="c_out")
+    bias = rng.standard_normal(c_out).astype(np.float32)
+    if kind in ("conv2d", "groupconv"):
+        kernel = data.draw(st.integers(1, 3), label="kernel")
+        layer = ConvLayer("l", rng.standard_normal((c_out, c_in, kernel, kernel)).astype(
+            np.float32), bias, stride=data.draw(st.integers(1, 2), label="stride"),
+            padding=data.draw(st.integers(0, 2), label="padding"))
+    else:
+        layer = FcLayer("l", rng.standard_normal((c_out, c_in)).astype(np.float32), bias)
+    if kind.startswith("group"):
+        layer.grouping = random_group_assignment(rng, c_out, int(rng.integers(1, 4)))
+        layer.mask = random_group_mask(rng, layer.grouping, c_in)
+        apply_mask(layer)
+        layer = convert_layer(layer)
+    assert type(layer) in KINDS.values()
+    return layer
+
+
+def value_error(run):
+    """The message of the ValueError ``run()`` raises, or None if it returns."""
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_shape_walk_and_forward_refuse_the_same_samples_alike(data):
+    """out_shape(shape) raises exactly when linear() does on a batch of samples
+    of that shape, with the same message; when both run, they agree on the
+    output shape."""
+    shape = tuple(data.draw(st.lists(st.integers(0, 6), max_size=4), label="shape"))
+    layer = random_layer(data, shape)
+    x = np.zeros((2, *shape), np.float32)
+    walk = value_error(lambda: layer.out_shape(shape))
+    assert walk == value_error(lambda: layer.linear(x)), (layer.kind, shape)
+    if walk is None:
+        assert layer.linear(x).shape == (2, *layer.out_shape(shape))

@@ -65,6 +65,22 @@ def test_width_mismatch_error(rng):
         evaluate(model, ds)
 
 
+def test_class_scores_are_checked_once_before_any_forward(monkeypatch):
+    """The check walks the sample shape: no forward runs, whatever the batch
+    count, for a model whose output is not a vector of class scores."""
+    forwards = []
+    monkeypatch.setattr(pipeline.ops, "conv2d_forward", lambda *a, **k: forwards.append(a))
+    conv = ConvLayer("conv1", np.ones((4, 3, 3, 3), np.float32), compress=False)
+    ds = make_blob_dataset(40, seed=0)
+    runs = [lambda: evaluate(Model([conv]), ds),
+            lambda: sgd_finetune(Model([conv]), ds, TrainConfig(epochs=1, batch_size=4))]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"dataset has 2 classes but model outputs "
+                                             r"shape \(4, 6, 6\)"):
+            run()
+    assert forwards == []
+
+
 def test_evaluate_rejects_a_conv_padded_past_the_cap_before_allocating():
     model = Model(layers=[ConvLayer("conv1", np.ones((2, 3, 3, 3), np.float32),
                                     padding=10**6, compress=False)])
@@ -135,7 +151,8 @@ def test_train_config_rejects_bad_epochs_and_lr():
                        ("lr", float("inf")), ("lr_milestones", ("a",)),
                        ("epochs", 2.5), ("epochs", True), ("batch_size", 8.0),
                        ("batch_size", False), ("seed", -1), ("seed", 2.5), ("seed", True),
-                       ("seed", [1, -2]), ("seed", [1, 2.0]), ("seed", []), ("seed", "3")]:
+                       ("seed", [1, -2]), ("seed", [1, 2.0]), ("seed", []), ("seed", "3"),
+                       ("lr", True), ("lr", "0.1"), ("lr", None), ("lr", -10**400)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: bad})
     assert TrainConfig(epochs=0, lr=0.0).epochs == 0
@@ -346,9 +363,14 @@ def test_schedule_validation():
                        ("global_lr", float("inf")), ("global_lr", -0.5),
                        ("num_groups", 2.5), ("num_groups", True), ("local_epochs", 1.0),
                        ("global_epochs", False), ("batch_size", 32.0), ("seed", -1),
-                       ("seed", 1.5), ("seed", True)]:
+                       ("seed", 1.5), ("seed", True), ("step", "0.1"), ("step", True),
+                       ("step", nan), ("target_conv", True), ("target_conv", -0.1),
+                       ("target_fc", "0.5"), ("target_fc", nan), ("local_lr", True),
+                       ("global_lr", None), ("global_lr", 1j)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             PruneSchedule(**{field: bad})
+    huge = PruneSchedule(step=1, target_conv=np.float32(1), target_fc=1, global_lr=10**400)
+    assert huge.global_lr == 10**400  # an integer is finite at any size
 
 
 def test_non_finite_importance_names_the_layer():
