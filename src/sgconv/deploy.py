@@ -10,7 +10,10 @@ checked against the masked dense forward before it is trusted.
 from __future__ import annotations
 
 import copy
+import functools
 import numbers
+import os
+import threading
 
 import numpy as np
 
@@ -81,9 +84,83 @@ def count_flops(model: Model, input_shape) -> int:
 # once. A dense conv's unfolded input holds at most its MACs / C_out
 # values, so at 2**27 MACs a 64-filter conv unfolds 8 MiB of float32 per
 # batch: below glibc's largest mmap threshold (32 MiB), so the buffer is
-# reused from the heap rather than mapped and page-faulted afresh.
+# reused from the heap rather than mapped and page-faulted afresh. Up to
+# WORKERS batches are in flight at once (map_batches): two on two CPUs
+# with BLAS pinned to one thread.
 BATCH_MACS = 2 ** 27
 MAX_BATCH = 512
+
+# The variables that set BLAS's thread count in OpenBLAS, OpenMP, MKL, BLIS
+# and Accelerate.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _count_workers(environ) -> int:
+    """The usable CPUs divided by BLAS's thread count, at least 1. BLAS is
+    taken to run the largest count that ``environ`` sets in BLAS_THREAD_VARS,
+    and every CPU when none is set or one holds no integer >= 1: threads
+    that each call a BLAS which already uses every core only slow it down."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    pins = [environ[var].strip() for var in BLAS_THREAD_VARS if environ.get(var, "").strip()]
+    if not pins or not all(pin.isdigit() and int(pin) >= 1 for pin in pins):
+        return 1
+    return max(1, cpus // max(map(int, pins)))
+
+
+# Threads that map_batches runs a parallel call's batches on, the caller's
+# included; fixed at import, from the environment BLAS itself reads then.
+WORKERS = _count_workers(os.environ)
+
+
+def map_batches(fn, batches, parallel: bool):
+    """``fn`` of each of ``batches``, in batch order.
+
+    With ``parallel`` and WORKERS > 1, the calling thread and WORKERS - 1
+    more each take the next batch from the one iterator, drawn in order
+    under a lock, so each thread holds one batch at a time; the results
+    come back as a list. The first exception, a KeyboardInterrupt in the
+    caller included, stops further draws and is re-raised once every
+    thread has been joined. Otherwise the batches run one after another
+    on the calling thread as the returned iterator is consumed, so no
+    result is held that the caller does not keep.
+    """
+    if not parallel or WORKERS < 2:
+        return map(fn, batches)
+    numbered, lock, results, failures = enumerate(batches), threading.Lock(), {}, []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    item = None if failures else next(numbered, None)
+                if item is None:
+                    return
+                results[item[0]] = fn(item[1])
+        except BaseException as exc:  # the caller re-raises it
+            with lock:
+                failures.append(exc)
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(WORKERS - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # interrupted outside fn: stop the draws, join, re-raise
+        with lock:
+            failures.append(exc)
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+        raise
+    if failures:
+        raise failures[0]
+    return [results[i] for i in range(len(results))]
 
 
 def batch_size_for(model: Model, input_shape) -> int:
@@ -97,11 +174,17 @@ def batch_size_for(model: Model, input_shape) -> int:
     return max(1, min(MAX_BATCH, BATCH_MACS // max(largest, 1)))
 
 
+def _pair_batch_size(model_a: Model, model_b: Model, input_shape) -> int:
+    """The largest batch that neither model's batch_size_for exceeds: the
+    equivalence check runs both models on each batch."""
+    return min(batch_size_for(model_a, input_shape), batch_size_for(model_b, input_shape))
+
+
 def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
-    """Standard-normal float32 inputs in batches that neither model's
-    batch_size_for exceeds, each drawn as it is used from one generator:
-    the same values as one draw of all the inputs, without holding them."""
-    step = min(batch_size_for(model_a, input_shape), batch_size_for(model_b, input_shape))
+    """Standard-normal float32 inputs in batches of _pair_batch_size, each
+    drawn as it is used from one generator: the same values as one draw
+    of all the inputs, without holding them."""
+    step = _pair_batch_size(model_a, model_b, input_shape)
     rng = np.random.default_rng(seed)
     for lo in range(0, n_inputs, step):
         yield rng.standard_normal((min(step, n_inputs - lo), *input_shape)).astype(np.float32)
@@ -120,21 +203,30 @@ def layer_deviations(model_a: Model, model_b: Model, input_shape,
     as many layers.
 
     Both models run on the same batches, each the largest that neither
-    model's batch_size_for exceeds. Conv and affine outputs do not depend
-    on the split; fc outputs may differ in the last bits from one
-    whole-batch forward, since BLAS picks its kernel by matrix size.
+    model's batch_size_for exceeds, by map_batches, in parallel when there
+    are at least two full batches; the maxima do not depend on the order.
+    Conv and affine outputs do not depend on the split; fc outputs may
+    differ in the last bits from one whole-batch forward, since BLAS picks
+    its kernel by matrix size.
     """
     if not isinstance(n_inputs, numbers.Integral) or isinstance(n_inputs, bool) or n_inputs < 1:
         raise ValueError(f"equivalence check needs an integer number of inputs >= 1, "
                          f"got n_inputs={n_inputs!r}")
-    devs = np.zeros(len(model_b.layers))
-    for x in _batches(model_a, model_b, input_shape, n_inputs, seed):
+
+    def deviations(x):
+        devs = np.zeros(len(model_b.layers))
         xa = xb = x
         for i, (layer_a, layer_b) in enumerate(zip(model_a.layers, model_b.layers,
                                                    strict=True)):
             xa, xb = layer_forward(layer_a, xa), layer_forward(layer_b, xb)
-            devs[i] = np.maximum(devs[i], np.max(np.abs(xa - xb)))  # keeps a NaN
-    return devs
+            devs[i] = np.max(np.abs(xa - xb))
+        return devs
+
+    parallel = n_inputs >= 2 * _pair_batch_size(model_a, model_b, input_shape)
+    per_batch = map_batches(deviations, _batches(model_a, model_b, input_shape,
+                                                 n_inputs, seed), parallel)
+    return functools.reduce(np.maximum, per_batch,  # np.maximum keeps a NaN
+                            np.zeros(len(model_b.layers)))
 
 
 def verify_equivalence(original: Model, deployed: Model, input_shape,

@@ -60,6 +60,13 @@ def _check_settings(layer):
                              f"got {value!r}")
 
 
+def _check_bias(layer, c_out):
+    """Reject a bias that is not one value per filter, naming the layer."""
+    if layer.bias is not None and layer.bias.shape != (c_out,):
+        raise ValueError(f"layer {layer.name!r}: bias shape {layer.bias.shape} is not "
+                         f"({c_out},)")
+
+
 def mask_dead_fraction(mask: np.ndarray) -> float:
     """Independent accounting path: dead connections counted on the mask."""
     return int((~mask).sum()) / mask.size
@@ -98,9 +105,7 @@ class MaskedLayer:
         if len(shape) != len(self.shape_fields) or shape[2:] != (self.kernel,) * (len(shape) - 2):
             raise ValueError(f"layer {self.name!r}: weight shape {shape} is not "
                              f"({', '.join(self.shape_fields)})")
-        if self.bias is not None and self.bias.shape != shape[:1]:
-            raise ValueError(f"layer {self.name!r}: bias shape {self.bias.shape} is not "
-                             f"({shape[0]},)")
+        _check_bias(self, shape[0])
         if self.mask is None:
             self.mask = np.ones(shape[:2], dtype=bool)
         if self.mask.dtype != bool or self.mask.shape != shape[:2]:
@@ -226,6 +231,7 @@ class GroupConvLayer:
         self.plan = ops.GroupExecPlan(
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
             self.out_channels, self.in_channels, self.kernel, self.name)
+        _check_bias(self, self.out_channels)
 
     def linear(self, x, saved=None):
         if self.source == "fc":

@@ -23,7 +23,7 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu")
 
 
-def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
+def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Output spatial extent of a convolution along one axis."""
     return (size + 2 * padding - kernel) // stride + 1
 
@@ -60,8 +60,8 @@ def _unfold_index(c, h, w, kernel, stride, padding):
     """Read-only (C*k*k, Ho*Wo) flat indices of _im2col's columns into a
     sample's planes, each H*W pixels followed, when padded, by one +0.0
     slot that every padding position points at."""
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
+    ho = _conv_out_size(h, kernel, stride, padding)
+    wo = _conv_out_size(w, kernel, stride, padding)
     taps = np.arange(kernel)[:, None]
     rows = np.arange(ho) * stride + taps - padding  # (k, Ho) input row per tap
     cols = np.arange(wo) * stride + taps - padding  # (k, Wo) input column per tap
@@ -83,8 +83,8 @@ def _im2col(x, kernel, stride, padding):
     copy of x. Both are pure copies, so their bytes are the same.
     """
     n, c, h, w = x.shape
-    ho = conv_out_size(h, kernel, stride, padding)
-    wo = conv_out_size(w, kernel, stride, padding)
+    ho = _conv_out_size(h, kernel, stride, padding)
+    wo = _conv_out_size(w, kernel, stride, padding)
     if wo <= UNFOLD_GATHER_WIDTH:
         if padding > 0:
             flat = np.empty((n, c, h * w + 1), dtype=x.dtype)
@@ -172,8 +172,8 @@ def _conv_hw(shape, c_in, kernel, stride, padding, name):
                          f"{tuple(shape)}")
     if shape[0] != c_in:
         raise ValueError(f"{name}: input has {shape[0]} channels, weights expect {c_in}")
-    ho = conv_out_size(shape[1], kernel, stride, padding)
-    wo = conv_out_size(shape[2], kernel, stride, padding)
+    ho = _conv_out_size(shape[1], kernel, stride, padding)
+    wo = _conv_out_size(shape[2], kernel, stride, padding)
     if ho < 1 or wo < 1:
         raise ValueError(f"{name}: kernel {kernel} stride {stride} pad {padding} does not fit "
                          f"input {shape[1]}x{shape[2]}")
@@ -226,8 +226,8 @@ def conv2d_backward(dout, x, weight, *, stride=1, padding=0, name="conv2d",
     the training loop.
     """
     c_out, c_in, kernel, _ = weight.shape
-    ho = conv_out_size(x.shape[2], kernel, stride, padding)
-    wo = conv_out_size(x.shape[3], kernel, stride, padding)
+    ho = _conv_out_size(x.shape[2], kernel, stride, padding)
+    wo = _conv_out_size(x.shape[3], kernel, stride, padding)
     expected = (x.shape[0], c_out, ho, wo)
     if tuple(dout.shape) != expected:
         raise ValueError(f"{name}: upstream gradient shape {tuple(dout.shape)} != {expected}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops
 from .data import Dataset
-from .deploy import batch_size_for, count_flops, count_params
+from .deploy import batch_size_for, count_flops, count_params, map_batches
 from .grouping import Grouping, centroids_for, kmeans_cluster
 from .importance import layer_importance
 from .model import Model, apply_mask, validate_first_conv_uncompressed
@@ -227,25 +227,31 @@ def evaluate(model: Model, dataset: Dataset) -> dict:
     is not class scores raises ValueError before any forward. The dataset
     is forwarded in batches sized by ``batch_size_for``: the largest, at
     most 512, for which no layer runs more than ``deploy.BATCH_MACS``
-    multiply-adds per batch. Conv and affine outputs do not depend on the
-    batch size, fc logits only in their last bits.
+    multiply-adds per batch, by ``deploy.map_batches``: in parallel when
+    there are at least two full batches, since the counts do not depend on
+    the order. Conv and affine outputs do not depend on the batch size, fc
+    logits only in their last bits.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_class_scores(model, dataset)
     batch_size = batch_size_for(model, dataset.features.shape[1:])
-    top1 = 0
-    top5 = 0
     want_top5 = dataset.num_classes >= 5
-    for start in range(0, n, batch_size):
+
+    def hits(start):
+        """Top-1 and top-5 hits of the batch at ``start`` (0 top-5 without top-5)."""
         x = dataset.features[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]
         logits = model.forward(x)
-        top1 += int((np.argmax(logits, axis=1) == y).sum())
-        if want_top5:
-            ranked = np.argsort(-logits, axis=1, kind="stable")[:, :5]
-            top5 += int((ranked == y[:, None]).any(axis=1).sum())
+        top1 = int((np.argmax(logits, axis=1) == y).sum())
+        if not want_top5:
+            return top1, 0
+        ranked = np.argsort(-logits, axis=1, kind="stable")[:, :5]
+        return top1, int((ranked == y[:, None]).any(axis=1).sum())
+
+    counts = map_batches(hits, range(0, n, batch_size), n >= 2 * batch_size)
+    top1, top5 = (sum(column) for column in zip(*counts))
     result = {"top1": top1 / n}
     result["top5"] = top5 / n if want_top5 else None
     return result

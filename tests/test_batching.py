@@ -4,18 +4,26 @@
 no layer runs more than ``deploy.BATCH_MACS`` multiply-adds. These
 properties draw random conv/affine/fc chains (pruned in groups and
 deployed) and datasets, and check that the split changes no accuracy and
-no conv or affine output bit.
+no conv or affine output bit, and that running the batches on several
+threads (``deploy.map_batches``) changes no result.
 """
+import copy
+import os
+import subprocess
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_group_assignment, random_group_mask
 from sgconv import deploy
 from sgconv.data import Dataset
-from sgconv.deploy import batch_size_for, convert_model
+from sgconv.deploy import batch_size_for, convert_model, layer_deviations, map_batches
 from sgconv.model import (AffineLayer, ConvLayer, FcLayer, Model, apply_mask,
                           build_toy_cnn, layer_forward)
 from sgconv.pipeline import evaluate
@@ -56,6 +64,15 @@ def random_net(rng, num_classes):
     return model, (c_in, size, size)
 
 
+def perturbed(model, rng):
+    """A copy of ``model`` whose conv and fc weights are moved by about 1e-3."""
+    twin = copy.deepcopy(model)
+    for layer in twin.layers:
+        if hasattr(layer, "weight"):
+            layer.weight += (1e-3 * rng.standard_normal(layer.weight.shape)).astype(np.float32)
+    return twin
+
+
 def largest_layer_macs(model, shape):
     largest = 0
     for layer in model.layers:
@@ -74,12 +91,20 @@ def test_split_changes_no_accuracy_and_no_conv_or_affine_bit(seed, count, num_cl
     x = rng.standard_normal((count, *shape)).astype(np.float32)
     dataset = Dataset(x, rng.integers(0, num_classes, count).astype(np.int32), num_classes)
     # batches of 1, 2, 7, as batch_macs allows and 512: evaluate takes its
-    # batch size from batch_size_for, so each comes from its own budget
+    # batch size from batch_size_for, so each comes from its own budget.
+    # Each budget runs on one thread and on the caller with two more, which
+    # must also give the same bits of the deviations from a perturbed copy
     largest = largest_layer_macs(model, shape)
+    other = convert_model(perturbed(model, np.random.default_rng([seed, 1])))
     results = []
     for budget in (largest, 2 * largest, 7 * largest, batch_macs, 512 * largest):
-        with mock.patch.object(deploy, "BATCH_MACS", budget):
-            results.append(evaluate(model, dataset))
+        deviations = []
+        for workers in (1, 3):
+            with mock.patch.object(deploy, "BATCH_MACS", budget), \
+                    mock.patch.object(deploy, "WORKERS", workers):
+                results.append(evaluate(model, dataset))
+                deviations.append(layer_deviations(model, other, shape, count, seed))
+        assert deviations[0].tobytes() == deviations[1].tobytes(), deviations
     assert all(r == results[0] for r in results[1:]), results
 
     cuts = np.sort(rng.integers(0, count + 1, int(rng.integers(1, 4))))
@@ -116,6 +141,7 @@ def test_toy_net_gets_the_whole_batch(seed):
 def test_evaluate_forwards_in_batches_of_the_sized_batch(monkeypatch):
     model = build_toy_cnn(0)
     monkeypatch.setattr(deploy, "BATCH_MACS", 7 * model.layer("conv2").macs((8, 6, 6)))
+    monkeypatch.setattr(deploy, "WORKERS", 1)  # one thread: the batches come in order
     sizes = []
     real = Model.forward
     monkeypatch.setattr(Model, "forward",
@@ -148,3 +174,142 @@ def test_dense_run_group_layer_is_sized_like_its_masked_source():
     assert deployed.layers[0].plan.executor == "dense"
     assert deploy.count_flops(deployed, shape) * 2 == deploy.count_flops(masked, shape)
     assert batch_size_for(deployed, shape) == batch_size_for(masked, shape) == 3
+
+
+# ------------------------------------------------------ threaded batches
+
+def test_threaded_results_come_back_in_batch_order(monkeypatch):
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    threads = set()
+
+    def late_for_early_batches(i):
+        threads.add(threading.get_ident())
+        time.sleep((20 - i) / 2000)
+        return i
+
+    assert map_batches(late_for_early_batches, range(20), True) == list(range(20))
+    assert len(threads) > 1
+    threads.clear()
+    assert list(map_batches(late_for_early_batches, range(20), False)) == list(range(20))
+    assert threads == {threading.get_ident()}
+
+
+def test_many_threads_switching_often_draw_each_batch_once(monkeypatch):
+    """Eight workers on fewer cores, the interpreter switching threads every
+    microsecond: every batch is drawn and mapped once, and in order."""
+    monkeypatch.setattr(deploy, "WORKERS", 8)
+    mapped, interval = [], sys.getswitchinterval()
+
+    def square(i):
+        mapped.append(i)
+        return i * i
+
+    sys.setswitchinterval(1e-6)
+    try:
+        results = map_batches(square, iter(range(3000)), True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(3000)]
+    assert sorted(mapped) == list(range(3000))
+
+
+class Boom(Exception):
+    pass
+
+
+def test_failing_batch_stops_the_draws_and_joins_every_thread(monkeypatch):
+    """Batch 5 fails at once, the others take 20 ms: besides batches 0-5, the
+    two other threads can have drawn one more each before the failure."""
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    before, drawn = threading.active_count(), []
+
+    def batches():
+        for i in range(1000):
+            drawn.append(i)
+            yield i
+
+    def fail_on_5(i):
+        if i == 5:
+            raise Boom
+        time.sleep(0.02)
+        return i
+
+    with pytest.raises(Boom):
+        map_batches(fail_on_5, batches(), True)
+    assert threading.active_count() == before
+    assert len(drawn) <= 6 + deploy.WORKERS - 1
+
+
+def test_interrupted_caller_stops_the_draws_and_joins_every_thread(monkeypatch):
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    before, drawn = threading.active_count(), []
+
+    def batches():
+        for i in range(1000):
+            drawn.append(i)
+            yield i
+
+    def interrupt_the_caller(i):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        time.sleep(0.02)
+        return i
+
+    with pytest.raises(KeyboardInterrupt):
+        map_batches(interrupt_the_caller, batches(), True)
+    assert threading.active_count() == before
+    assert len(drawn) <= deploy.WORKERS + deploy.WORKERS - 1
+
+
+def test_evaluate_of_one_full_batch_starts_no_thread(monkeypatch):
+    """600 toy samples in batches of 512: fewer than two full batches, so
+    evaluate runs them on the calling thread even with workers to spare."""
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    model, sizes = build_toy_cnn(0), []
+    real = Model.forward
+
+    def forward_on_the_caller(self, x):
+        assert threading.current_thread() is threading.main_thread()
+        sizes.append(len(x))
+        return real(self, x)
+
+    def no_thread(self):
+        raise AssertionError("evaluate started a thread")
+
+    monkeypatch.setattr(Model, "forward", forward_on_the_caller)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    evaluate(model, Dataset(np.zeros((600, 3, 8, 8), np.float32), np.zeros(600, np.int32), 2))
+    assert sizes == [512, 88]
+
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("environ, blas", [
+    ({}, None),
+    ({"OMP_NUM_THREADS": ""}, None),
+    ({"OMP_NUM_THREADS": "four"}, None),
+    ({"OPENBLAS_NUM_THREADS": "0"}, None),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1.5"}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"VECLIB_MAXIMUM_THREADS": " 2 "}, 2),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}, 3),
+    ({"BLIS_NUM_THREADS": "100000"}, 100000),
+])
+def test_workers_divide_the_cpus_by_the_blas_threads(environ, blas):
+    """Unpinned BLAS (nothing set, or no integer >= 1) uses every CPU, so one
+    worker; pinned to n threads (the largest count set), cpus // n, at least 1."""
+    expected = 1 if blas is None else max(1, usable_cpus() // blas)
+    assert deploy._count_workers({"PATH": "/bin", **environ}) == expected
+
+
+def test_workers_are_read_from_the_environment_at_import():
+    environ = {key: value for key, value in os.environ.items()
+               if key not in deploy.BLAS_THREAD_VARS}
+    code = "from sgconv import deploy; print(deploy.WORKERS)"
+    for pin, expected in ((None, 1), ("1", usable_cpus())):
+        env = environ if pin is None else {**environ, "OMP_NUM_THREADS": pin}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert int(out) == expected

@@ -2,11 +2,12 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgconv import cli
+from sgconv import cli, deploy
 from sgconv.cli import main
 from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model, count_flops, verify_equivalence
@@ -464,6 +465,34 @@ def test_prune_deterministic_given_seed(workspace):
     assert main(argv + ["--out", str(workspace / "r2")]) == 0
     assert (workspace / "r1.sgm.bin").read_bytes() == (workspace / "r2.sgm.bin").read_bytes()
     assert (workspace / "r1.sgm.json").read_bytes() == (workspace / "r2.sgm.json").read_bytes()
+
+
+def test_prune_deploy_eval_bytes_do_not_depend_on_the_threads(workspace, capsys,
+                                                              monkeypatch):
+    """With batches of 7, evaluate's 300 samples and the check's 100 inputs
+    span many batches, so they run threaded on three workers; the model
+    files, the report (but its wall times) and the output are those of one."""
+    toy = build_toy_cnn(0)
+    monkeypatch.setattr(deploy, "BATCH_MACS", 7 * toy.layer("conv2").macs((8, 6, 6)))
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(deploy, "WORKERS", workers)
+        (workspace / f"w{workers}").mkdir()
+        monkeypatch.chdir(workspace / f"w{workers}")  # the same relative paths in both
+        assert main(["prune", "--model", "../toy.sgm.json", "--data", "../train.sgd",
+                     "--groups", "4", "--step", "0.2", "--target-conv", "0.6",
+                     "--target-fc", "0.4", "--finetune", "local+global", "--local-epochs", "1",
+                     "--global-epochs", "1", "--seed", "5", "--out", "p"]) == 0
+        assert main(["deploy", "--model", "p.sgm.json", "--out", "d"]) == 0
+        for model in ("p", "d"):
+            assert main(["eval", "--model", f"{model}.sgm.json", "--data", "../test.sgd"]) == 0
+        report = json.loads(Path("p.report.json").read_text())
+        del report["timings"]
+        runs.append([report, capsys.readouterr().out,
+                     *(Path(name).read_bytes() for name in ("p.sgm.json", "p.sgm.bin",
+                                                            "d.sgm.json", "d.sgm.bin"))])
+    assert runs[0] == runs[1]
+    assert "max abs deviation" in runs[0][1] and "top1" in runs[0][1]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1"])

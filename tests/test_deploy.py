@@ -278,6 +278,7 @@ def test_huge_check_draws_its_inputs_batch_by_batch(monkeypatch):
 
     model = build_toy_cnn(6)
     calls, forward = [], deploy.layer_forward
+    monkeypatch.setattr(deploy, "WORKERS", 1)  # one thread: the calls come in batch order
 
     def forward_until_third(layer, x):
         calls.append(len(x))
@@ -289,6 +290,61 @@ def test_huge_check_draws_its_inputs_batch_by_batch(monkeypatch):
     with pytest.raises(Third):
         verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=10**9)
     assert calls == [512] * 13
+
+
+def test_threaded_check_inputs_are_the_bytes_of_one_draw(monkeypatch):
+    """On the caller and two more threads, the check's 15 batches of at most 7
+    are the slices of one draw of its 100 inputs, each forwarded once."""
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    model = build_toy_cnn(6)
+    toy_in_batches_of_7(monkeypatch, model)
+    deployed, seen, forward = convert_model(model), [], deploy.layer_forward
+
+    def record_inputs(layer, x):
+        if layer is model.layers[0]:
+            seen.append(x.tobytes())
+        return forward(layer, x)
+
+    monkeypatch.setattr(deploy, "layer_forward", record_inputs)
+    verify_equivalence(model, deployed, (3, 8, 8), seed=3)
+    whole = np.random.default_rng(3).standard_normal((100, 3, 8, 8)).astype(np.float32)
+    assert sorted(seen) == sorted(whole[lo:lo + 7].tobytes() for lo in range(0, 100, 7))
+
+
+def test_threaded_check_fails_on_a_nan_in_one_middle_batch(monkeypatch):
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    test_many_batch_check_fails_on_a_nan_in_one_middle_batch(monkeypatch)
+
+
+def test_threaded_huge_check_stops_drawing_past_the_failing_batch(monkeypatch):
+    """10**9 toy inputs in batches of 512 on the caller and two more threads:
+    the third batch fails its first layer forward, and at most WORKERS - 1
+    batches are drawn after it."""
+    class Third(Exception):
+        pass
+
+    monkeypatch.setattr(deploy, "WORKERS", 3)
+    model, draws, real = build_toy_cnn(6), [], deploy._batches
+
+    def mark_the_third(*args):
+        for x in real(*args):
+            draws.append(len(x))
+            if len(draws) == 3:
+                x.flat[0] = np.inf  # no standard-normal draw is infinite
+            assert len(draws) < 100, "the draws did not stop"
+            yield x
+
+    def forward_until_third(layer, x, _forward=deploy.layer_forward):
+        if np.isposinf(x.flat[0]):
+            raise Third
+        return _forward(layer, x)
+
+    monkeypatch.setattr(deploy, "_batches", mark_the_third)
+    monkeypatch.setattr(deploy, "layer_forward", forward_until_third)
+    with pytest.raises(Third):
+        verify_equivalence(model, convert_model(model), (3, 8, 8), n_inputs=10**9)
+    assert 3 <= len(draws) <= 3 + deploy.WORKERS - 1
+    assert set(draws) == {512}
 
 
 # ---------------------------------------------------------------- accounting

@@ -8,8 +8,9 @@ from conftest import random_group_assignment, random_group_mask
 from sgconv import ops
 from sgconv.deploy import convert_layer, convert_model
 from sgconv.io import KINDS
-from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model, apply_mask,
-                          layer_forward, validate_first_conv_uncompressed)
+from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, GroupBlock,
+                          GroupConvLayer, Model, apply_mask, layer_forward,
+                          validate_first_conv_uncompressed)
 
 
 def test_toy_cnn_shapes_and_forward(rng, toy_model):
@@ -107,6 +108,20 @@ def test_bad_layer_settings_are_rejected_naming_the_layer(rng, settings, match):
     with pytest.raises(ValueError, match=f"layer 'c': {match}"):
         layer("c", **{**arrays[layer], **settings})
     assert ConvLayer("c", w, stride=np.int64(2), padding=np.int64(1)).stride == 2
+
+
+@pytest.mark.parametrize("source", ["conv2d", "fc"])
+def test_group_layer_rejects_a_bias_that_is_not_one_per_filter(rng, source):
+    kernel = 3 if source == "conv2d" else 1
+    block = GroupBlock(np.arange(2), np.arange(3),
+                       rng.standard_normal((2, 3, kernel, kernel)).astype(np.float32))
+    for bias, shown in ((np.zeros(5, np.float32), r"\(5,\)"),
+                        (np.zeros((2, 1), np.float32), r"\(2, 1\)")):
+        with pytest.raises(ValueError, match=rf"layer 'g': bias shape {shown} is not \(2,\)"):
+            GroupConvLayer("g", [block], in_channels=3, out_channels=2, kernel=kernel,
+                           bias=bias, source=source)
+    GroupConvLayer("g", [block], in_channels=3, out_channels=2, kernel=kernel,
+                   bias=np.zeros(2, np.float32), source=source)
 
 
 def test_conv_shape_walk_caps_padded_input_and_output_per_sample():

@@ -67,8 +67,8 @@ def reference_conv_input_grad(dout, weight, x_shape, stride, padding):
 def reference_im2col(x, kernel, stride, padding):
     """The unfold as np.pad and k*k strided tap copies."""
     n, c, h, w = x.shape
-    ho = ops.conv_out_size(h, kernel, stride, padding)
-    wo = ops.conv_out_size(w, kernel, stride, padding)
+    ho = ops._conv_out_size(h, kernel, stride, padding)
+    wo = ops._conv_out_size(w, kernel, stride, padding)
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((n, c, kernel, kernel, ho, wo), dtype=x.dtype)
@@ -227,7 +227,7 @@ def test_conv_backward_matches_finite_differences(rng):
 def test_conv_backward_stride_padding_fd(rng, stride, padding):
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((2, 2, 3, 3))
-    ho = ops.conv_out_size(5, 3, stride, padding)
+    ho = ops._conv_out_size(5, 3, stride, padding)
     proj = rng.standard_normal((2, 2, ho, ho))
 
     def loss():
@@ -245,8 +245,8 @@ def input_grad_case(seed, n, c_in, c_out, h, w, kernel, stride, padding, dtype,
     weight = rng.standard_normal((c_out, c_in, kernel, kernel)).astype(dtype)
     weight[rng.random((c_out, c_in)) < dead] = 0.0
     weight[rng.random(weight.shape) < 0.2] = -0.0
-    ho = ops.conv_out_size(h, kernel, stride, padding)
-    wo = ops.conv_out_size(w, kernel, stride, padding)
+    ho = ops._conv_out_size(h, kernel, stride, padding)
+    wo = ops._conv_out_size(w, kernel, stride, padding)
     dout = rng.standard_normal((n, c_out, ho, wo)).astype(dtype)
     dout[rng.random(dout.shape) < negative_zeros] = -0.0
     return dout, weight, (n, c_in, h, w), stride, padding
@@ -438,8 +438,8 @@ def group_forward_reference(x, groups, out_channels, bias=None, *, stride=1, pad
     else:
         _, _, k, _ = groups[0][2].shape
         out = np.zeros((x.shape[0], out_channels,
-                        ops.conv_out_size(x.shape[2], k, stride, padding),
-                        ops.conv_out_size(x.shape[3], k, stride, padding)), dtype=x.dtype)
+                        ops._conv_out_size(x.shape[2], k, stride, padding),
+                        ops._conv_out_size(x.shape[3], k, stride, padding)), dtype=x.dtype)
     for filt, chan, w in groups:
         if len(chan) == 0:
             continue
