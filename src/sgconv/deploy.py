@@ -120,44 +120,47 @@ def map_batches(fn, batches, parallel: bool):
     """``fn`` of each of ``batches``, in batch order.
 
     With ``parallel`` and WORKERS > 1, the calling thread and WORKERS - 1
-    more each take the next batch from the one iterator, drawn in order
+    helpers each take the next batch from the one iterator, drawn in order
     under a lock, so each thread holds one batch at a time; the results
-    come back as a list. The first exception, a KeyboardInterrupt in the
-    caller included, stops further draws and is re-raised once every
-    thread has been joined. Otherwise the batches run one after another
-    on the calling thread as the returned iterator is consumed, so no
-    result is held that the caller does not keep.
+    come back as a list. A failure in any thread, or an interrupt before
+    the caller's draws are over, is recorded under the lock, which stops
+    the draws; every started helper is joined and the first failure is
+    re-raised. An interrupt during that join propagates at once, while the
+    helpers finish the batches they hold. Otherwise the batches run one
+    after another on the calling thread as the returned iterator is
+    consumed, so no result is held that the caller does not keep.
     """
     if not parallel or WORKERS < 2:
         return map(fn, batches)
     numbered, lock, results, failures = enumerate(batches), threading.Lock(), {}, []
 
     def work():
+        while True:
+            with lock:
+                item = None if failures else next(numbered, None)
+            if item is None:
+                return
+            results[item[0]] = fn(item[1])
+
+    def helper():
         try:
-            while True:
-                with lock:
-                    item = None if failures else next(numbered, None)
-                if item is None:
-                    return
-                results[item[0]] = fn(item[1])
+            work()
         except BaseException as exc:  # the caller re-raises it
             with lock:
                 failures.append(exc)
 
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(WORKERS - 1)]
+    threads = [threading.Thread(target=helper, daemon=True) for _ in range(WORKERS - 1)]
     try:
         for thread in threads:
             thread.start()
         work()
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:  # interrupted outside fn: stop the draws, join, re-raise
+    except BaseException as exc:  # the caller's own failure, or an interrupt
         with lock:
             failures.append(exc)
+    finally:  # the draws are over: the batches ran out or a failure is recorded
         for thread in threads:
             if thread.ident is not None:  # started
                 thread.join()
-        raise
     if failures:
         raise failures[0]
     return [results[i] for i in range(len(results))]
@@ -174,17 +177,10 @@ def batch_size_for(model: Model, input_shape) -> int:
     return max(1, min(MAX_BATCH, BATCH_MACS // max(largest, 1)))
 
 
-def _pair_batch_size(model_a: Model, model_b: Model, input_shape) -> int:
-    """The largest batch that neither model's batch_size_for exceeds: the
-    equivalence check runs both models on each batch."""
-    return min(batch_size_for(model_a, input_shape), batch_size_for(model_b, input_shape))
-
-
-def _batches(model_a: Model, model_b: Model, input_shape, n_inputs, seed):
-    """Standard-normal float32 inputs in batches of _pair_batch_size, each
-    drawn as it is used from one generator: the same values as one draw
-    of all the inputs, without holding them."""
-    step = _pair_batch_size(model_a, model_b, input_shape)
+def _batches(step: int, input_shape, n_inputs, seed):
+    """Standard-normal float32 inputs in batches of ``step``, each drawn as
+    it is used from one generator: the same values as one draw of all the
+    inputs, without holding them."""
     rng = np.random.default_rng(seed)
     for lo in range(0, n_inputs, step):
         yield rng.standard_normal((min(step, n_inputs - lo), *input_shape)).astype(np.float32)
@@ -222,9 +218,9 @@ def layer_deviations(model_a: Model, model_b: Model, input_shape,
             devs[i] = np.max(np.abs(xa - xb))
         return devs
 
-    parallel = n_inputs >= 2 * _pair_batch_size(model_a, model_b, input_shape)
-    per_batch = map_batches(deviations, _batches(model_a, model_b, input_shape,
-                                                 n_inputs, seed), parallel)
+    step = min(batch_size_for(model_a, input_shape), batch_size_for(model_b, input_shape))
+    per_batch = map_batches(deviations, _batches(step, input_shape, n_inputs, seed),
+                            n_inputs >= 2 * step)
     return functools.reduce(np.maximum, per_batch,  # np.maximum keeps a NaN
                             np.zeros(len(model_b.layers)))
 

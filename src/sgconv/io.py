@@ -94,7 +94,13 @@ class _BlobWriter:
 
 
 def save_model(model: Model, manifest_path, blob_path) -> None:
-    """Write the manifest and blob; byte-deterministic for identical models."""
+    """Write the manifest and blob; byte-deterministic for identical models.
+    Raises ValueError, writing nothing, for a model that load_model would
+    refuse: repeated layer names or a compressible first conv."""
+    names = [layer.name for layer in model.layers]
+    for name in names:
+        if names.count(name) > 1:  # the masks and groupings tables are keyed by name
+            raise ValueError(f"duplicate layer name {name!r}")
     validate_first_conv_uncompressed(model)
     blob = _BlobWriter()
     records = [layer.to_record(blob) for layer in model.layers]

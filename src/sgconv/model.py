@@ -228,10 +228,10 @@ class GroupConvLayer:
         if self.source not in ("conv2d", "fc") or (self.source == "fc" and self.kernel != 1):
             raise ValueError(f"layer {self.name!r}: source {self.source!r} with kernel "
                              f"{self.kernel} is neither conv2d nor a kernel-1 fc")
+        _check_bias(self, self.out_channels)  # before the plan freezes the weights
         self.plan = ops.GroupExecPlan(
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
             self.out_channels, self.in_channels, self.kernel, self.name)
-        _check_bias(self, self.out_channels)
 
     def linear(self, x, saved=None):
         if self.source == "fc":

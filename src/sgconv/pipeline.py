@@ -202,11 +202,11 @@ def sgd_finetune(model: Model, dataset: Dataset, config: TrainConfig) -> list:
                 )
             total_loss += loss * len(idx)
             for layer, (dw, db) in _backward(caches, dlogits):
-                if layer.name not in velocity:
-                    velocity[layer.name] = (
+                if id(layer) not in velocity:  # by layer, since names may repeat
+                    velocity[id(layer)] = (
                         np.zeros_like(layer.weight),
                         None if layer.bias is None else np.zeros_like(layer.bias))
-                vw, vb = velocity[layer.name]
+                vw, vb = velocity[id(layer)]
                 dw = dw + WEIGHT_DECAY * layer.weight
                 vw *= MOMENTUM
                 vw += dw

@@ -7,6 +7,7 @@ deployed) and datasets, and check that the split changes no accuracy and
 no conv or affine output bit, and that running the batches on several
 threads (``deploy.map_batches``) changes no result.
 """
+import _thread
 import copy
 import os
 import subprocess
@@ -259,6 +260,31 @@ def test_interrupted_caller_stops_the_draws_and_joins_every_thread(monkeypatch):
         map_batches(interrupt_the_caller, batches(), True)
     assert threading.active_count() == before
     assert len(drawn) <= deploy.WORKERS + deploy.WORKERS - 1
+
+
+def test_interrupt_during_the_join_is_raised_once_every_thread_ends(monkeypatch):
+    """The helper holds batch 0 or 1 until the caller has drawn past the last
+    one, then interrupts the main thread while it joins the helper."""
+    monkeypatch.setattr(deploy, "WORKERS", 2)
+    before, helper_busy, exhausted = threading.active_count(), threading.Event(), threading.Event()
+
+    def batches():
+        yield from range(2)
+        exhausted.set()
+
+    def interrupt_the_joining_caller(i):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_busy.wait(5)
+        else:
+            helper_busy.set()
+            assert exhausted.wait(5)
+            time.sleep(0.05)  # the caller is in the join by now
+            _thread.interrupt_main()
+        return i
+
+    with pytest.raises(KeyboardInterrupt):
+        map_batches(interrupt_the_joining_caller, batches(), True)
+    assert threading.active_count() == before
 
 
 def test_evaluate_of_one_full_batch_starts_no_thread(monkeypatch):

@@ -14,7 +14,7 @@ from sgconv.deploy import convert_model, count_flops, verify_equivalence
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model,
                           apply_mask, build_toy_cnn)
-from sgconv.pipeline import PruneSchedule, TrainConfig, sgd_finetune
+from sgconv.pipeline import PruneSchedule, TrainConfig, evaluate, sgd_finetune
 from test_deploy import corrupt_first_block
 
 
@@ -115,6 +115,43 @@ def test_eval_prints_accuracy(workspace, capsys):
     out = capsys.readouterr().out
     assert out.startswith("top1 ")
     assert float(out.split()[1]) >= 0.9
+
+
+def test_eval_prints_top5_for_five_or_more_classes(workspace, capsys):
+    data = make_blob_dataset(60, num_classes=10, seed=23)
+    save_dataset(data, workspace / "ten.sgd")
+    code = main(["eval", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "ten.sgd")])
+    assert code == 0
+    result = evaluate(load_model(workspace / "toy.sgm.json", workspace / "toy.sgm.bin"), data)
+    assert capsys.readouterr().out == f"top1 {result['top1']:.4f}  top5 {result['top5']:.4f}\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("eval --model {}/noblob.sgm.json --data {}/test.sgd", "model blob not found"),
+    ("sweep --scopes ,", "sweep grids must be non-empty"),
+    ("sweep --scopes all", "unknown scope 'all'"),
+    ("report --input-shape 0,8,8", "bad --input-shape '0,8,8'"),
+    ("eval --data {}/empty.sgd", "cannot evaluate on an empty dataset"),
+    ("report --model {}/dup.sgm.json", "duplicate layer name 'conv2'"),
+])
+def test_named_input_errors_exit_2(workspace, capsys, command, message):
+    """noblob has the toy manifest and no blob, dup the toy model with fc1
+    renamed conv2, and empty.sgd no samples."""
+    toy = json.loads((workspace / "toy.sgm.json").read_text())
+    (workspace / "noblob.sgm.json").write_text(json.dumps(toy))
+    toy["layers"][2]["name"] = "conv2"
+    (workspace / "dup.sgm.json").write_text(json.dumps(toy))
+    (workspace / "dup.sgm.bin").write_bytes((workspace / "toy.sgm.bin").read_bytes())
+    save_dataset(Dataset(np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int32), 2),
+                 workspace / "empty.sgd")
+    name, *flags = command.replace("{}", str(workspace)).split()
+    if "--model" not in flags:
+        flags += ["--model", str(workspace / "toy.sgm.json")]
+    if name == "sweep":
+        flags += ["--data", str(workspace / "train.sgd"), "--out", str(workspace / "s.csv")]
+    assert main([name, *flags]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_of_0d_samples_exits_2_naming_the_layer(workspace, capsys):

@@ -184,6 +184,20 @@ def test_first_conv_compress_rejected(tmp_path, rng):
         load_model(manifest, blob)
 
 
+def test_duplicate_layer_names_are_refused_before_writing(tmp_path):
+    model = build_toy_cnn(0)
+    model.layer("fc1").name = "conv2"
+    manifest, blob = sgm_paths(tmp_path / "dup")
+    with pytest.raises(ValueError, match="duplicate layer name 'conv2'"):
+        save_model(model, manifest, blob)
+    assert not manifest.exists() and not blob.exists()
+
+
+@pytest.mark.parametrize("given", ["m", "m.sgm.json", "m.sgm.bin"])
+def test_sgm_paths_take_a_prefix_or_either_file(tmp_path, given):
+    assert sgm_paths(tmp_path / given) == (tmp_path / "m.sgm.json", tmp_path / "m.sgm.bin")
+
+
 def test_bad_json_and_missing_version(tmp_path):
     manifest, blob = sgm_paths(tmp_path / "x")
     blob.write_bytes(b"")

@@ -120,6 +120,7 @@ def test_group_layer_rejects_a_bias_that_is_not_one_per_filter(rng, source):
         with pytest.raises(ValueError, match=rf"layer 'g': bias shape {shown} is not \(2,\)"):
             GroupConvLayer("g", [block], in_channels=3, out_channels=2, kernel=kernel,
                            bias=bias, source=source)
+        assert block.weight.flags.writeable  # a failed construction freezes nothing
     GroupConvLayer("g", [block], in_channels=3, out_channels=2, kernel=kernel,
                    bias=np.zeros(2, np.float32), source=source)
 

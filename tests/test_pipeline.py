@@ -117,6 +117,33 @@ def test_pruned_connections_stay_exactly_zero(rng):
     assert np.any(conv.weight[conv.mask] != 0)
 
 
+def two_fc_net(first, second):
+    """Two 8->8 fc layers: equal shapes, so one momentum buffer would fit both."""
+    rng = np.random.default_rng(7)
+    return Model([FcLayer(name, rng.standard_normal((8, 8)).astype(np.float32),
+                          np.zeros(8, np.float32), activation=activation)
+                  for name, activation in ((first, "relu"), (second, "identity"))])
+
+
+@pytest.mark.parametrize("net", ["toy", "two fc"])
+def test_layers_that_share_a_name_train_like_distinct_ones(net):
+    """Momentum is kept per layer, not per name: a net whose layer names
+    repeat trains to the bytes of the same net with distinct names."""
+    if net == "toy":  # fc1's (10, 128) weight under conv2's name
+        train, _ = blob_split(0)
+        distinct, shared = build_toy_cnn(0), build_toy_cnn(0)
+        shared.layer("fc1").name = "conv2"
+    else:
+        x = np.random.default_rng(8).standard_normal((64, 8)).astype(np.float32)
+        train = Dataset(x, (np.arange(64) % 8).astype(np.int32), 8)
+        distinct, shared = two_fc_net("fc1", "fc2"), two_fc_net("fc", "fc")
+    for model in (distinct, shared):
+        sgd_finetune(model, train, TrainConfig(epochs=2, lr=0.05, seed=0))
+    for a, b in zip(distinct.layers, shared.layers, strict=True):
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
 def test_blob_training_reaches_95_percent():
     train, _ = blob_split(2)
     model = build_toy_cnn(2)
