@@ -67,6 +67,14 @@ def _check_bias(layer, c_out):
                          f"({c_out},)")
 
 
+def _check_sizes(layer, sizes):
+    """Reject a channel count or kernel of 0, naming the layer; ``sizes``
+    holds (record field, value) pairs."""
+    for key, size in sizes:
+        if size < 1:
+            raise ValueError(f"layer {layer.name!r}: {key} must be >= 1, got {size}")
+
+
 def mask_dead_fraction(mask: np.ndarray) -> float:
     """Independent accounting path: dead connections counted on the mask."""
     return int((~mask).sum()) / mask.size
@@ -105,6 +113,7 @@ class MaskedLayer:
         if len(shape) != len(self.shape_fields) or shape[2:] != (self.kernel,) * (len(shape) - 2):
             raise ValueError(f"layer {self.name!r}: weight shape {shape} is not "
                              f"({', '.join(self.shape_fields)})")
+        _check_sizes(self, zip(self.shape_fields, shape))
         _check_bias(self, shape[0])
         if self.mask is None:
             self.mask = np.ones(shape[:2], dtype=bool)
@@ -228,6 +237,8 @@ class GroupConvLayer:
         if self.source not in ("conv2d", "fc") or (self.source == "fc" and self.kernel != 1):
             raise ValueError(f"layer {self.name!r}: source {self.source!r} with kernel "
                              f"{self.kernel} is neither conv2d nor a kernel-1 fc")
+        _check_sizes(self, (("out_channels", self.out_channels),
+                            ("in_channels", self.in_channels), ("kernel_size", self.kernel)))
         _check_bias(self, self.out_channels)  # before the plan freezes the weights
         self.plan = ops.GroupExecPlan(
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
@@ -315,7 +326,7 @@ class GroupConvLayer:
             "groups": len(self.groups),
             "executor": plan.executor,
             "filters_per_block": [min(filters, default=0), max(filters, default=0)],
-            "union_fraction": len(plan.union) / max(self.in_channels, 1),
+            "union_fraction": len(plan.union) / self.in_channels,
             "gathered_rows_ratio": plan.gathered_rows / max(len(plan.union) * taps, 1),
             "flops_billed": 2 * self.macs(shape),
             "flops_executed": 2 * self.executed_macs(shape),
@@ -337,6 +348,7 @@ class AffineLayer:
         if self.scale.ndim != 1 or self.shift.shape != self.scale.shape:
             raise ValueError(f"layer {self.name!r}: scale and shift must both be (C,), "
                              f"got {self.scale.shape} and {self.shift.shape}")
+        _check_sizes(self, (("channels", self.scale.size),))
 
     def _per_channel(self, v, ndim):
         return v.reshape(1, -1, *([1] * (ndim - 2)))

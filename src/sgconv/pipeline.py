@@ -1,16 +1,22 @@
-"""Iterative compression driver with a desk-scale SGD fine-tuner.
+"""Iterative compression (the paper's Algorithm 1) with a desk-scale SGD
+fine-tuner.
 
-One compression iteration re-scores importance on the masked weights,
-re-clusters every compressible layer, and prunes each layer's weakest
-centroid elements until the cumulative per-layer removal target t*s is
-reached. Iterations repeat (optionally interleaved with short local
-fine-tuning) until the pooled removal ratios of the conv and fc layers
-reach their configured targets, after which a longer global fine-tuning
-pass recovers accuracy. Everything is deterministic for a fixed seed.
+``run_algorithm1`` is one loop over iterations t = 1, 2, ...: while the
+pooled removal ratio of the conv or fc layers is short of its target, it
+re-scores importance on the masked weights, re-clusters every layer of
+that kind, kills the bundles a new group left partially dead, and prunes
+each layer's weakest centroid elements until the cumulative per-layer
+removal target t*s is reached; with local+global fine-tuning a short local
+pass follows each iteration. A run that has not reached its targets after
+ceil(max target / s) + 2 iterations raises RuntimeError. A longer global
+fine-tuning pass then recovers accuracy. The report times the pruning and
+both fine-tuning phases. Everything is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
+import itertools
 import math
 import numbers
 import time
@@ -21,7 +27,7 @@ import numpy as np
 from . import ops
 from .data import Dataset
 from .deploy import batch_size_for, count_flops, count_params, map_batches
-from .grouping import Grouping, centroids_for, kmeans_cluster
+from .grouping import centroids_for, kmeans_cluster
 from .importance import layer_importance
 from .model import Model, apply_mask, validate_first_conv_uncompressed
 from .pruning import (RATIO_EPS, compression_ratio_layer, kill_bundles, model_dead_fraction,
@@ -100,7 +106,12 @@ def _check_fields(config, minimums: dict, reals: dict) -> None:
     """Reject a setting of ``config`` that no run can use, naming its field:
     a ``minimums`` field that is not an integer (a bool is not one) or is
     below its minimum; a ``reals`` field that is not a finite real number
-    (a bool is not one) in its REAL_RANGES range."""
+    (a bool is not one) in its REAL_RANGES range. A numpy scalar is stored
+    as the Python number it equals, so that a report can hold the config."""
+    for key in (*minimums, *reals):
+        value = getattr(config, key)
+        if isinstance(value, np.generic):
+            setattr(config, key, value.item())
     for key, low in minimums.items():
         value = getattr(config, key)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -257,19 +268,6 @@ def evaluate(model: Model, dataset: Dataset) -> dict:
     return result
 
 
-def _sync_bundles(layer, grouping: Grouping) -> int:
-    """Promote partially-dead (group, channel) bundles to fully dead.
-
-    Re-clustering can put filters with different historic masks into one
-    group; bundle-level accounting and deployment both require masks to
-    be uniform within a group, so any bundle with at least one dead
-    member is killed outright. Returns the number of promoted bundles.
-    """
-    partial = partial_elements(layer.mask, grouping.assignment, grouping.num_groups)
-    kill_bundles(layer, grouping.assignment, partial)
-    return int(partial.sum())
-
-
 def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> dict:
     """One compression step on one layer; returns its report record."""
     vectors = layer_importance(layer)
@@ -278,7 +276,11 @@ def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> di
                                   seed=[schedule.seed, 11, t, layer_index])
     except ValueError as exc:
         raise ValueError(f"layer {layer.name!r}: {exc}") from exc
-    synced = _sync_bundles(layer, grouping)
+    # Re-clustering can put filters with different historic masks into one group, and
+    # bundle accounting and deployment need uniform masks: kill partially dead bundles.
+    partial = partial_elements(layer.mask, grouping.assignment, grouping.num_groups)
+    kill_bundles(layer, grouping.assignment, partial)
+    synced = int(partial.sum())
     if synced:
         # killed bundles changed the masked weights: refresh the centroid values
         vectors = layer_importance(layer)
@@ -305,7 +307,6 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
     When the targets require no pruning at all, the weights come back
     unchanged (fine-tuning is skipped too).
     """
-    schedule = copy.deepcopy(schedule)
     model = copy.deepcopy(model)
     validate_first_conv_uncompressed(model)
     if schedule.finetune != "none" and (dataset is None or len(dataset) == 0):
@@ -318,6 +319,21 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
     targets = {"conv2d": schedule.target_conv, "fc": schedule.target_fc}
     compressible = [l for l in model.layers if l.compress]
     eval_set = test_dataset if test_dataset is not None else dataset
+    timings = dict.fromkeys(("prune_s", "local_finetune_s", "global_finetune_s"), 0.0)
+
+    @contextlib.contextmanager
+    def timed(phase):
+        """Add the wall time of the ``with`` body to ``timings[phase]``."""
+        tick = time.perf_counter()
+        yield
+        timings[phase] += time.perf_counter() - tick
+
+    def finetune(epochs, lr, milestones, seed):
+        sgd_finetune(model, dataset, TrainConfig(epochs=epochs, batch_size=schedule.batch_size,
+                                                 lr=lr, lr_milestones=milestones, seed=seed))
+
+    def accuracy():
+        return evaluate(model, eval_set) if eval_set is not None else None
 
     t_start = time.perf_counter()
     report = {
@@ -325,65 +341,44 @@ def run_algorithm1(model: Model, dataset: Dataset | None, schedule: PruneSchedul
         "schedule": asdict(schedule),
         "params_before": count_params(model),
         "flops_before": count_flops(model, model.input_shape),
-        "accuracy_before": evaluate(model, eval_set) if eval_set is not None else None,
+        "accuracy_before": accuracy(),
         "iterations": [],
-        "timings": {},
     }
-    # the model's latest accuracy, reported as accuracy_after: only the
-    # model's changes call for evaluating it again
-    accuracy = report["accuracy_before"]
+    # accuracy_after is the latest model's: only a change to the model calls
+    # for evaluating it again
+    report["accuracy_after"] = report["accuracy_before"]
 
-    def kinds_pending():
-        return [kind for kind, target in targets.items()
-                if target > 0 and any(l.ratio_kind == kind for l in compressible)
-                and model_dead_fraction(model, kind) < target - RATIO_EPS]
-
-    prune_seconds = 0.0
-    local_seconds = 0.0
-    t = 1
     max_t = math.ceil(max(targets.values(), default=0) / schedule.step) + 2
-    while True:
-        pending = kinds_pending()
+    for t in itertools.count(1):
+        pending = [kind for kind, target in targets.items()
+                   if target > 0 and any(l.ratio_kind == kind for l in compressible)
+                   and model_dead_fraction(model, kind) < target - RATIO_EPS]
         if not pending:
             break
         if t > max_t:
             raise RuntimeError(f"pruning did not reach its targets within {max_t} iterations")
-        tick = time.perf_counter()
         record = {"t": t, "layers": {}}
-        for index, layer in enumerate(compressible):
-            if layer.ratio_kind in pending:
-                record["layers"][layer.name] = _prune_layer(layer, schedule, t, index)
-        prune_seconds += time.perf_counter() - tick
+        with timed("prune_s"):
+            for index, layer in enumerate(compressible):
+                if layer.ratio_kind in pending:
+                    record["layers"][layer.name] = _prune_layer(layer, schedule, t, index)
         record.update(model_ratios(model))
         if schedule.finetune == "local+global":
-            tick = time.perf_counter()
-            sgd_finetune(model, dataset, TrainConfig(
-                epochs=schedule.local_epochs, batch_size=schedule.batch_size,
-                lr=schedule.local_lr, seed=[schedule.seed, 22, t]))
-            local_seconds += time.perf_counter() - tick
+            with timed("local_finetune_s"):
+                finetune(schedule.local_epochs, schedule.local_lr, (), [schedule.seed, 22, t])
         if eval_set is not None:
-            record["accuracy"] = accuracy = evaluate(model, eval_set)
+            record["accuracy"] = report["accuracy_after"] = accuracy()
         report["iterations"].append(record)
-        t += 1
 
-    global_seconds = 0.0
     if schedule.finetune != "none" and report["iterations"]:
-        tick = time.perf_counter()
-        sgd_finetune(model, dataset, TrainConfig(
-            epochs=schedule.global_epochs, batch_size=schedule.batch_size,
-            lr=schedule.global_lr, lr_milestones=GLOBAL_MILESTONES, seed=[schedule.seed, 33]))
-        global_seconds = time.perf_counter() - tick
-        accuracy = evaluate(model, eval_set) if eval_set is not None else None
+        with timed("global_finetune_s"):
+            finetune(schedule.global_epochs, schedule.global_lr, GLOBAL_MILESTONES,
+                     [schedule.seed, 33])
+        report["accuracy_after"] = accuracy()
 
     report["final"] = {**model_ratios(model),
                        "network_dead_fraction": model_dead_fraction(model)}
     report["params_after"] = count_params(model)
     report["flops_after"] = count_flops(model, model.input_shape)
-    report["accuracy_after"] = accuracy
-    report["timings"] = {
-        "prune_s": prune_seconds,
-        "local_finetune_s": local_seconds,
-        "global_finetune_s": global_seconds,
-        "total_s": time.perf_counter() - t_start,
-    }
+    report["timings"] = {**timings, "total_s": time.perf_counter() - t_start}
     return model, report

@@ -12,8 +12,8 @@ from sgconv.cli import main
 from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model, count_flops, verify_equivalence
 from sgconv.io import load_model, save_model, sgm_paths
-from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, Model,
-                          apply_mask, build_toy_cnn)
+from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, GroupBlock,
+                          GroupConvLayer, Model, apply_mask, build_toy_cnn)
 from sgconv.pipeline import PruneSchedule, TrainConfig, evaluate, sgd_finetune
 from test_deploy import corrupt_first_block
 
@@ -250,6 +250,43 @@ def test_affine_narrower_than_its_input_exits_2_naming_the_layer(workspace, caps
     # with no shape given, report needs a recorded one, and this model records none
     expected = "--input-shape" if command == "report" else "layer 'bn' expects 1 channels, got 4"
     assert expected in capsys.readouterr().err
+
+
+ONE = np.ones((1, 1, 1, 1), np.float32)
+SIZE_1_LAYERS = {  # one layer of each kind with every channel count and kernel 1
+    "conv2d": lambda: ConvLayer("z", ONE, compress=False),
+    "fc": lambda: FcLayer("z", ONE[0, 0]),
+    "affine_passthrough": lambda: AffineLayer("z", ONE[0, 0, 0], ONE[0, 0, 0]),
+    "groupconv": lambda: GroupConvLayer("z", [GroupBlock(np.array([0]), np.array([0]), ONE)],
+                                        in_channels=1, out_channels=1, kernel=1),
+}
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("conv2d", "out_channels"), ("conv2d", "in_channels"), ("conv2d", "kernel_size"),
+    ("fc", "out_features"), ("fc", "in_features"), ("affine_passthrough", "channels"),
+    ("groupconv", "out_channels"),
+])
+def test_a_zero_size_layer_exits_2_naming_it(tmp_path, capsys, kind, field):
+    """A manifest whose layer has 0 channels or a 0x0 kernel (its blob ranges
+    emptied to match) is refused on load. Such layers once loaded: report
+    divided by zero, deploy and eval died in numpy without naming the layer,
+    and a 0x0 kernel passed all three."""
+    save_model(Model([SIZE_1_LAYERS[kind]()]), *sgm_paths(tmp_path / "m"))
+    doc = json.loads((tmp_path / "m.sgm.json").read_text())
+    record = doc["layers"][0]
+    record[field] = 0
+    record.update(blob_length=0, **({"bias_length": 0} if "bias_length" in record else {}))
+    if kind == "groupconv":
+        record["groups"] = []  # no filter left to partition
+    (tmp_path / "m.sgm.json").write_text(json.dumps(doc))
+    save_dataset(Dataset(np.zeros((4, 1, 4, 4), np.float32), np.array([0, 1, 0, 1], np.int32), 2),
+                 tmp_path / "d.sgd")
+    for command in ("report --input-shape 1,4,4",
+                    f"deploy --input-shape 1,4,4 --out {tmp_path}/o",
+                    f"eval --data {tmp_path}/d.sgd"):
+        assert main([*command.split(), "--model", str(tmp_path / "m")]) == 2, command
+        assert f"layer 'z': {field} must be >= 1, got 0" in capsys.readouterr().err, command
 
 
 def test_report_prints_toy_params(workspace, capsys):

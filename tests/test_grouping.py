@@ -143,6 +143,8 @@ def test_centroids_are_group_means(rng):
     grouping = kmeans_cluster(vectors, 4, seed=3)
     means = centroids_for(vectors, grouping.assignment, grouping.num_groups)
     np.testing.assert_allclose(grouping.centroids, means, atol=1e-6)
+    with pytest.raises(ValueError, match="group 2 has no members"):
+        centroids_for(vectors, np.array([0, 1, 3] * 4), 4)
 
 
 def test_lloyd_objective_monotone(rng):

@@ -144,9 +144,9 @@ def random_layer(data, shape):
                                       "groupconv", "groupfc"]), label="kind")
     match = data.draw(st.booleans(), label="match")
     c_in = data.draw(st.integers(1, 4), label="c_in")
-    if match and shape:
-        c_in = shape[0] if kind in ("conv2d", "groupconv", "affine_passthrough") \
-            else max(1, int(np.prod(shape)))
+    if match and shape:  # no layer has 0 channels, so a 0-channel shape cannot match
+        c_in = max(1, shape[0] if kind in ("conv2d", "groupconv", "affine_passthrough")
+                   else int(np.prod(shape)))
     if kind == "affine_passthrough":
         return AffineLayer("l", rng.standard_normal(c_in).astype(np.float32),
                            rng.standard_normal(c_in).astype(np.float32))

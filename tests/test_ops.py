@@ -142,6 +142,9 @@ def test_conv_shape_errors(rng):
         ops.conv2d_forward(np.zeros((1, 3, 2, 2), np.float32), w)
     with pytest.raises(ValueError, match="4-d"):
         ops.conv2d_forward(np.zeros((3, 5, 5), np.float32), w)
+    with pytest.raises(ValueError, match=r"convX: expected square \(C_out,C_in,k,k\) weights, "
+                                         r"got \(4, 3, 3, 2\)"):
+        ops.conv2d_forward(np.zeros((1, 3, 5, 5), np.float32), w[..., :2], name="convX")
 
 
 # ---------------------------------------------------------------- fc forward
@@ -586,3 +589,5 @@ def test_activations():
         ops.activation_backward(np.ones(3), x, "relu"), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="activation"):
         ops.apply_activation(x, "gelu")
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        ops.activation_backward(np.ones(3), x, "gelu")

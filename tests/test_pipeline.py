@@ -1,5 +1,6 @@
 """Compression driver, SGD trainer and evaluation metrics."""
 import copy
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgconv import grouping, pipeline
-from sgconv.data import Dataset, make_blob_dataset
+from sgconv.cli import main
+from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model, verify_equivalence
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
@@ -157,6 +159,14 @@ def test_divergence_aborts_with_diagnostic():
     model = build_toy_cnn(3)
     with pytest.raises(RuntimeError, match="diverged"):
         sgd_finetune(model, train, TrainConfig(epochs=3, lr=1e12, seed=3))
+
+
+@pytest.mark.parametrize("dataset", [None, Dataset(np.zeros((0, 3, 8, 8), np.float32),
+                                                     np.zeros(0, np.int32), 10)],
+                         ids=["none", "empty"])
+def test_finetune_refuses_an_empty_dataset(dataset):
+    with pytest.raises(ValueError, match="fine-tuning needs a non-empty dataset"):
+        sgd_finetune(build_toy_cnn(0), dataset, TrainConfig(seed=0))
 
 
 def test_lr_milestones_decay():
@@ -347,6 +357,30 @@ def test_model_is_evaluated_once_per_change(monkeypatch):
     assert report["accuracy_after"] == report["accuracy_before"]
 
 
+def test_a_run_that_prunes_nothing_stops_at_the_iteration_cap(monkeypatch, tmp_path, capsys):
+    """With no bundle ever killed, step 0.25 and targets 0.5 give up after
+    ceil(0.5 / 0.25) + 2 = 4 iterations, each of which pruned both layers
+    to its cumulative target t*s; the CLI exits 2 with the same message."""
+    targets = []
+
+    def kill_nothing(layer, grouping, target):
+        targets.append((layer.name, target))
+        return 0
+
+    monkeypatch.setattr(pipeline, "prune_to_ratio", kill_nothing)
+    sched = PruneSchedule(step=0.25, target_conv=0.5, target_fc=0.5, finetune="none", seed=0)
+    message = "pruning did not reach its targets within 4 iterations"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        run_algorithm1(build_toy_cnn(19), None, sched)
+    assert targets == [(name, t * 0.25) for t in (1, 2, 3, 4) for name in ("conv2", "fc1")]
+    save_model(build_toy_cnn(19), *sgm_paths(tmp_path / "toy"))
+    save_dataset(make_blob_dataset(8, seed=19), tmp_path / "d.sgd")
+    assert main(["prune", "--model", str(tmp_path / "toy"), "--data", str(tmp_path / "d.sgd"),
+                 "--step", "0.25", "--target-conv", "0.5", "--target-fc", "0.5",
+                 "--finetune", "none", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_input_model_not_mutated():
     model = build_toy_cnn(13)
     snapshot = [l.weight.copy() for l in model.layers]
@@ -370,7 +404,10 @@ def test_report_carries_metrics_and_objectives():
     for name in ("conv2", "fc1"):
         assert {"n", "ratio", "objective", "sq_objective"} <= set(rec["layers"][name])
     assert "accuracy" in rec
-    assert report["timings"]["total_s"] > 0
+    timings = report["timings"]
+    assert list(timings) == ["prune_s", "local_finetune_s", "global_finetune_s", "total_s"]
+    assert timings["local_finetune_s"] == 0  # no local passes under "global"
+    assert 0 < timings["prune_s"] + timings["global_finetune_s"] < timings["total_s"]
 
 
 def test_schedule_validation():
@@ -398,6 +435,17 @@ def test_schedule_validation():
             PruneSchedule(**{field: bad})
     huge = PruneSchedule(step=1, target_conv=np.float32(1), target_fc=1, global_lr=10**400)
     assert huge.global_lr == 10**400  # an integer is finite at any size
+
+
+def test_numpy_settings_give_a_json_report():
+    """Numpy scalars pass the checks and are stored as Python numbers; stored
+    as they came, they once made json.dumps of the report fail on int64."""
+    sched = PruneSchedule(num_groups=np.int64(4), step=np.float32(0.25), target_conv=0.5,
+                          target_fc=np.float64(0.5), finetune="none", seed=np.int64(1))
+    assert (type(sched.num_groups), type(sched.step), type(sched.seed)) == (int, float, int)
+    _, report = run_algorithm1(build_toy_cnn(18), None, sched)
+    schedule = json.loads(json.dumps(report))["schedule"]
+    assert (schedule["num_groups"], schedule["step"], schedule["seed"]) == (4, 0.25, 1)
 
 
 def test_non_finite_importance_names_the_layer():
