@@ -75,6 +75,17 @@ def _check_sizes(layer, sizes):
             raise ValueError(f"layer {layer.name!r}: {key} must be >= 1, got {size}")
 
 
+def _record_sizes(rec, keys):
+    """The size fields ``keys`` of a manifest record, each refused unless it
+    is an integer (a bool is not one), naming the layer and the field."""
+    sizes = tuple(rec[key] for key in keys)
+    for key, size in zip(keys, sizes):
+        if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+            raise ValueError(f"layer {rec['name']!r}: {key} must be an integer, "
+                             f"got {size!r}")
+    return sizes
+
+
 def mask_dead_fraction(mask: np.ndarray) -> float:
     """Independent accounting path: dead connections counted on the mask."""
     return int((~mask).sum()) / mask.size
@@ -151,7 +162,7 @@ class MaskedLayer:
 
     @classmethod
     def from_record(cls, rec, blob):
-        name, shape = rec["name"], tuple(rec[key] for key in cls.shape_fields)
+        name, shape = rec["name"], _record_sizes(rec, cls.shape_fields)
         return cls(name, blob.fetch(rec, shape, name), blob.bias(rec, shape[0]),
                    activation=rec["activation"], compress=rec["compress"],
                    mask=blob.mask(rec, shape[:2]), grouping=blob.grouping(rec, shape[0]),
@@ -275,16 +286,16 @@ class GroupConvLayer:
 
     @classmethod
     def from_record(cls, rec, blob):
-        name, k = rec["name"], rec["kernel_size"]
+        name = rec["name"]
+        c_out, c_in, k = _record_sizes(rec, ("out_channels", "in_channels", "kernel_size"))
         blocks = []
         for gi, grec in enumerate(rec["groups"]):
             filt = blob.indices(grec["filters"], f"{name}.group{gi}: filters")
             chan = blob.indices(grec["channels"], f"{name}.group{gi}: channels")
             blocks.append(GroupBlock(filt, chan, blob.fetch(
                 grec, (len(filt), len(chan), k, k), f"{name}.group{gi}")))
-        return cls(name, blocks, in_channels=rec["in_channels"],
-                   out_channels=rec["out_channels"], kernel=k,
-                   bias=blob.bias(rec, rec["out_channels"]), stride=rec["stride"],
+        return cls(name, blocks, in_channels=c_in, out_channels=c_out, kernel=k,
+                   bias=blob.bias(rec, c_out), stride=rec["stride"],
                    padding=rec["padding"], activation=rec["activation"], source=rec["source"])
 
     def macs(self, shape):
@@ -374,7 +385,7 @@ class AffineLayer:
 
     @classmethod
     def from_record(cls, rec, blob):
-        name, shape = rec["name"], (rec["channels"],)
+        name, shape = rec["name"], _record_sizes(rec, ("channels",))
         return cls(name, blob.fetch(rec, shape, name),
                    blob.fetch(rec, shape, f"{name}.shift", "bias_offset", "bias_length"),
                    activation=rec["activation"])

@@ -464,6 +464,22 @@ def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layer,key,value", [
+    ("conv2", "out_channels", 8.0), ("conv2", "kernel_size", 3.0),
+    ("fc1", "in_features", "128"), ("conv2", "in_channels", True)])
+def test_size_field_that_is_not_an_integer_is_named(tmp_path, capsys, layer, key, value):
+    """numpy fails on 8.0 or "128" as a size without naming the field, and
+    takes True for 1; the loader refuses each first, by layer and field."""
+    manifest, blob = sgm_paths(tmp_path / "m")
+    save_model(build_toy_cnn(0), manifest, blob)
+    doc = json.loads(manifest.read_text())
+    next(rec for rec in doc["layers"] if rec["name"] == layer)[key] = value
+    manifest.write_text(json.dumps(doc))
+    assert main(["report", "--model", str(manifest)]) == 2
+    assert f"layer {layer!r}: {key} must be an integer, got {value!r}" in \
+        capsys.readouterr().err
+
+
 # values no larger than 10**6, so one that passes validation fails its allocation
 # at once rather than paging the machine
 ODD_VALUES = [0, -1, 2.5, True, None, "x", [], {}, 10**6]
