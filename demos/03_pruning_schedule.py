@@ -9,7 +9,7 @@ lower group, then the lower channel.
 """
 import numpy as np
 
-from sgconv.grouping import centroids_for, kmeans_cluster
+from sgconv.grouping import kmeans_cluster
 from sgconv.importance import layer_importance
 from sgconv.model import FcLayer, mask_dead_fraction
 from sgconv.pruning import (compression_ratio_layer, kill_bundles, partial_elements,
@@ -26,11 +26,10 @@ for t in range(1, 5):
     vectors = layer_importance(layer)
     grouping = kmeans_cluster(vectors, 4, seed=t)
     # a new grouping can join filters whose dead channels differ: kill those
-    # bundles whole and re-score them at 0, as the pipeline does
-    kill_bundles(layer, grouping.assignment,
-                 partial_elements(layer.mask, grouping.assignment, grouping.num_groups))
-    grouping.centroids = centroids_for(layer_importance(layer).astype(np.float64),
-                                       grouping.assignment, grouping.num_groups)
+    # bundles whole and set their centroid elements to 0, as the pipeline does
+    partial = partial_elements(layer.mask, grouping.assignment, grouping.num_groups)
+    kill_bundles(layer, grouping.assignment, partial)
+    grouping.centroids[partial] = 0.0
     n = prune_to_ratio(layer, grouping, t * step)  # length of the killed ascending prefix
     pruned = pruned_elements(layer.mask, grouping.assignment, grouping.num_groups)
     formula = compression_ratio_layer(grouping.assignment, pruned)

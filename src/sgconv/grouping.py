@@ -89,16 +89,16 @@ MAX_LLOYD_ITERATIONS = 300  # per restart; Lloyd stops earlier once an assignmen
 
 def _lloyd(vectors, num_groups, rng):
     centroids = _kmeanspp_init(vectors, num_groups, rng)
-    prev = None
+    recent = []  # the last two assignments: ties and the repair can make Lloyd alternate
     trace = []
     for _ in range(MAX_LLOYD_ITERATIONS):
         assignment = np.argmin(_sq_distances(vectors, centroids), axis=1)  # ties: lowest id
         assignment = _repair_empty(assignment, vectors, centroids, num_groups)
         centroids = centroids_for(vectors, assignment, num_groups)
         trace.append(float(((vectors - centroids[assignment]) ** 2).sum()))
-        if prev is not None and np.array_equal(prev, assignment):
+        if any(np.array_equal(past, assignment) for past in recent):
             break
-        prev = assignment
+        recent = [*recent[-1:], assignment]
     return assignment, centroids, trace
 
 

@@ -134,6 +134,10 @@ class _BlobReader:
         offset, length = rec.get(offset_key), rec.get(length_key)
         if offset is None or length is None:
             raise ModelFormatError(f"{what}: missing {offset_key}/{length_key}")
+        for key, value in ((offset_key, offset), (length_key, length)):
+            if type(value) is not int:  # true and 864.0 would be read as 1 and 864
+                raise ModelFormatError(  # a group record has no name: ``what`` names it
+                    f"layer {rec.get('name', what)!r}: {key} must be an integer, got {value!r}")
         count = int(np.prod(shape)) if shape else 0
         if length != count * 4 or offset < 0:
             raise ModelFormatError(

@@ -27,11 +27,11 @@ import numpy as np
 from . import ops
 from .data import Dataset
 from .deploy import batch_size_for, count_flops, count_params, map_batches
-from .grouping import centroids_for, kmeans_cluster
+from .grouping import kmeans_cluster
 from .importance import layer_importance
-from .model import Model, apply_mask, validate_first_conv_uncompressed
-from .pruning import (RATIO_EPS, compression_ratio_layer, kill_bundles, model_dead_fraction,
-                      model_ratios, partial_elements, prune_to_ratio, pruned_elements)
+from .model import Model, apply_mask, mask_dead_fraction, validate_first_conv_uncompressed
+from .pruning import (RATIO_EPS, kill_bundles, model_dead_fraction, model_ratios,
+                      partial_elements, prune_to_ratio)
 
 REPORT_SCHEMA_VERSION = 1
 FINETUNE_MODES = ("none", "global", "local+global")
@@ -276,25 +276,19 @@ def _prune_layer(layer, schedule: PruneSchedule, t: int, layer_index: int) -> di
                                   seed=[schedule.seed, 11, t, layer_index])
     except ValueError as exc:
         raise ValueError(f"layer {layer.name!r}: {exc}") from exc
-    # Re-clustering can put filters with different historic masks into one group, and
-    # bundle accounting and deployment need uniform masks: kill partially dead bundles.
+    # Masks must be uniform within groups: kill the bundles re-clustering left partially
+    # dead. Their importances become 0, so only their centroid elements change, each to 0.
     partial = partial_elements(layer.mask, grouping.assignment, grouping.num_groups)
     kill_bundles(layer, grouping.assignment, partial)
-    synced = int(partial.sum())
-    if synced:
-        # killed bundles changed the masked weights: refresh the centroid values
-        vectors = layer_importance(layer)
-        grouping.centroids = centroids_for(np.asarray(vectors, dtype=np.float64),
-                                           grouping.assignment, grouping.num_groups)
+    grouping.centroids[partial] = 0.0
     n = prune_to_ratio(layer, grouping, min(t * schedule.step, 1.0))
     layer.grouping = grouping.assignment
-    pruned = pruned_elements(layer.mask, grouping.assignment, grouping.num_groups)
     return {
         "n": n,
-        "ratio": compression_ratio_layer(grouping.assignment, pruned),
+        "ratio": mask_dead_fraction(layer.mask),  # the mask is uniform within each group
         "objective": grouping.objective,
         "sq_objective": grouping.sq_objective,
-        "synced_bundles": synced,
+        "synced_bundles": int(partial.sum()),
     }
 
 

@@ -218,27 +218,33 @@ class Boom(Exception):
     pass
 
 
-def test_failing_batch_stops_the_draws_and_joins_every_thread(monkeypatch):
-    """Batch 5 fails at once, the others take 20 ms: besides batches 0-5, the
-    two other threads can have drawn one more each before the failure."""
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_failing_batch_stops_the_draws_and_joins_every_thread(monkeypatch, failing):
+    """From batch 5 on, a batch fails at once on the failing side (the
+    calling thread or a helper), and the other side holds its first one
+    until then; other batches take 20 ms. Each thread holds one batch at a
+    time, so besides batches 0-4 each thread has drawn at most one."""
     monkeypatch.setattr(deploy, "WORKERS", 3)
-    before, drawn = threading.active_count(), []
+    before, drawn, failed = threading.active_count(), [], threading.Event()
 
     def batches():
         for i in range(1000):
             drawn.append(i)
             yield i
 
-    def fail_on_5(i):
-        if i == 5:
-            raise Boom
+    def fail_from_5(i):
+        if i >= 5:
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                failed.set()
+                raise Boom
+            failed.wait(timeout=10)
         time.sleep(0.02)
         return i
 
     with pytest.raises(Boom):
-        map_batches(fail_on_5, batches(), True)
+        map_batches(fail_from_5, batches(), True)
     assert threading.active_count() == before
-    assert len(drawn) <= 6 + deploy.WORKERS - 1
+    assert len(drawn) <= 5 + deploy.WORKERS
 
 
 def test_interrupted_caller_stops_the_draws_and_joins_every_thread(monkeypatch):

@@ -97,12 +97,13 @@ def test_identical_vectors():
 
 
 def counted_lloyd(monkeypatch):
-    """The number of Lloyd starts kmeans_cluster runs, as a one-item list."""
-    starts, lloyd = [0], grouping._lloyd
+    """The Lloyd starts kmeans_cluster runs: a list of their iteration counts."""
+    starts, lloyd = [], grouping._lloyd
 
     def counted(*args):
-        starts[0] += 1
-        return lloyd(*args)
+        result = lloyd(*args)
+        starts.append(len(result[2]))
+        return result
 
     monkeypatch.setattr(grouping, "_lloyd", counted)
     return starts
@@ -128,7 +129,7 @@ def test_restarts_stop_at_objective_zero(rng, monkeypatch, style):
     starts = counted_lloyd(monkeypatch)
     monkeypatch.setattr(grouping, "RESTARTS", 8)
     many = kmeans_cluster(vectors, num_groups, seed=5)
-    assert starts == [1] and many.objective == 0.0
+    assert len(starts) == 1 and many.objective == 0.0
     monkeypatch.setattr(grouping, "RESTARTS", 1)
     assert_same_grouping(many, kmeans_cluster(vectors, num_groups, seed=5))
 
@@ -137,7 +138,19 @@ def test_restarts_run_on_while_the_objective_is_positive(rng, monkeypatch):
     starts = counted_lloyd(monkeypatch)
     monkeypatch.setattr(grouping, "RESTARTS", 8)
     kmeans_cluster(rng.standard_normal((9, 4)), 3, seed=5)
-    assert starts == [8]
+    assert len(starts) == 8
+
+
+def test_lloyd_stops_when_it_cycles_with_period_two(monkeypatch):
+    """16 rows drawn from 4 distinct ones, in 6 groups: each argmin leaves
+    two groups empty, the repair refills them with other points, and the
+    assignments alternate between two states from the second iteration on.
+    Every start stops within a few iterations instead of running all
+    MAX_LLOYD_ITERATIONS."""
+    vectors, num_groups = list(tied_cases(np.random.default_rng(12345)))[14]
+    starts = counted_lloyd(monkeypatch)
+    kmeans_cluster(vectors, num_groups, seed=14)
+    assert len(starts) == grouping.RESTARTS and max(starts) <= 10
 
 
 def test_group_count_clamped_and_validated(rng):

@@ -466,14 +466,30 @@ def test_malformed_manifest_is_a_format_error(tmp_path, rng, capsys, where, key,
 
 @pytest.mark.parametrize("layer,key,value", [
     ("conv2", "out_channels", 8.0), ("conv2", "kernel_size", 3.0),
-    ("fc1", "in_features", "128"), ("conv2", "in_channels", True)])
+    ("fc1", "in_features", "128"), ("conv2", "in_channels", True),
+    ("conv1", "blob_length", 864.0), ("conv1", "blob_offset", 0.0),
+    ("conv1", "blob_offset", True), ("fc1", "bias_offset", 8352.0),
+    ("gfc.group0", "blob_offset", 8392.0), ("gfc.group1", "blob_length", True),
+    ("gfc", "bias_length", 40.0)])
 def test_size_field_that_is_not_an_integer_is_named(tmp_path, capsys, layer, key, value):
-    """numpy fails on 8.0 or "128" as a size without naming the field, and
-    takes True for 1; the loader refuses each first, by layer and field."""
+    """numpy fails on 8.0 or "128" as a size or a blob range without naming
+    the field, 864.0 as a blob length passes the range checks, and True is
+    taken for 1; the loader refuses each first, by layer and field. A group
+    record of layer gfc is named gfc.group<index>."""
+    model = build_toy_cnn(0)
+    gfc = FcLayer("gfc", np.ones((10, 10), np.float32), np.zeros(10, np.float32))
+    gfc.grouping = np.arange(10) % 2
+    gfc.mask[gfc.grouping == 1, :5] = False
+    apply_mask(gfc)
+    model.layers.append(convert_layer(gfc))
     manifest, blob = sgm_paths(tmp_path / "m")
-    save_model(build_toy_cnn(0), manifest, blob)
+    save_model(model, manifest, blob)
     doc = json.loads(manifest.read_text())
-    next(rec for rec in doc["layers"] if rec["name"] == layer)[key] = value
+    name, _, group = layer.partition(".group")
+    rec = next(rec for rec in doc["layers"] if rec["name"] == name)
+    rec = rec["groups"][int(group)] if group else rec
+    assert key in rec
+    rec[key] = value
     manifest.write_text(json.dumps(doc))
     assert main(["report", "--model", str(manifest)]) == 2
     assert f"layer {layer!r}: {key} must be an integer, got {value!r}" in \

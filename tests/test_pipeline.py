@@ -14,11 +14,14 @@ from sgconv import grouping, pipeline
 from sgconv.cli import main
 from sgconv.data import Dataset, make_blob_dataset, save_dataset
 from sgconv.deploy import convert_model, verify_equivalence
+from sgconv.grouping import centroids_for
+from sgconv.importance import layer_importance
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import AffineLayer, ConvLayer, FcLayer, Model, apply_mask, build_toy_cnn
 from sgconv.pipeline import (PruneSchedule, TrainConfig, _backward, _forward_cached,
                              evaluate, run_algorithm1, sgd_finetune)
-from sgconv.pruning import model_dead_fraction
+from sgconv.pruning import (compression_ratio_layer, model_dead_fraction, partial_elements,
+                            prune_to_ratio, pruned_elements)
 
 
 def blob_split(seed, n_train=400, n_test=200):
@@ -284,6 +287,60 @@ def test_ratio_formula_equals_mask_counting_each_iteration():
     assert report["final"]["network_ratio"] == report["final"]["network_dead_fraction"]
     dead = model_dead_fraction(pruned)
     assert report["final"]["network_ratio"] == dead
+
+
+def scoring_at_selection():
+    """A patch of the pipeline's prune_to_ratio that records, at each call,
+    the centroids it is given and those of a fresh scoring of the layer."""
+    seen = []
+
+    def spy(layer, grouping, target):
+        fresh = centroids_for(layer_importance(layer).astype(np.float64),
+                              grouping.assignment, grouping.num_groups)
+        seen.append((grouping.centroids.copy(), fresh))
+        return prune_to_ratio(layer, grouping, target)
+
+    return seen, mock.patch.object(pipeline, "prune_to_ratio", spy)
+
+
+def test_synced_centroids_equal_a_fresh_scoring_bit_for_bit():
+    # masks dead per connection, not per bundle, so every grouping joins
+    # filters whose dead channels differ
+    rng = np.random.default_rng(28)
+    seen, patch = scoring_at_selection()
+    synced = 0
+    with patch:
+        for case in range(40):
+            c_out, c_in = int(rng.integers(2, 15)), int(rng.integers(1, 10))
+            if case % 2:
+                layer = ConvLayer("conv", rng.standard_normal((c_out, c_in, 3, 3))
+                                  .astype(np.float32))
+            else:
+                layer = FcLayer("fc", rng.standard_normal((c_out, c_in)).astype(np.float32))
+            layer.mask = rng.random((c_out, c_in)) >= rng.choice([0.2, 0.5, 0.8])
+            apply_mask(layer)
+            schedule = PruneSchedule(num_groups=int(rng.integers(1, 7)), step=0.2,
+                                     target_conv=1.0, target_fc=1.0, finetune="none")
+            record = pipeline._prune_layer(layer, schedule, int(rng.integers(1, 6)), case)
+            synced += record["synced_bundles"]
+            num_groups = int(layer.grouping.max()) + 1
+            assert not partial_elements(layer.mask, layer.grouping, num_groups).any()
+            pruned = pruned_elements(layer.mask, layer.grouping, num_groups)
+            assert record["ratio"] == compression_ratio_layer(layer.grouping, pruned)
+    assert synced > 0
+    for given_centroids, fresh in seen:
+        assert given_centroids.tobytes() == fresh.tobytes()
+
+
+def test_toy_flow_syncs_bundles_at_their_fresh_centroids():
+    seen, patch = scoring_at_selection()
+    with patch:
+        _, report = run_algorithm1(build_toy_cnn(7), None, PruneSchedule(
+            num_groups=4, step=0.05, target_conv=0.6, target_fc=0.6, finetune="none"))
+    assert sum(rec["synced_bundles"] for it in report["iterations"]
+               for rec in it["layers"].values()) > 0
+    for given_centroids, fresh in seen:
+        assert given_centroids.tobytes() == fresh.tobytes()
 
 
 def test_separate_conv_fc_targets():
