@@ -45,7 +45,7 @@ def cmd_prune(args) -> int:
     pruned, report = run_algorithm1(model, dataset, schedule, test_dataset=test_set)
     manifest, blob = sgm_paths(args.out)
     save_model(pruned, manifest, blob)
-    report_path = Path(args.report) if args.report else Path(str(args.out) + ".report.json")
+    report_path = Path(args.report or str(manifest).removesuffix(".sgm.json") + ".report.json")
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
     print(f"wrote {manifest} ({count_params(pruned)} live params), report {report_path}")
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training dataset (.sgd)")
     p.add_argument("--test-data", default=None, help="held-out dataset for accuracy reports")
     p.add_argument("--out", required=True, help="output model prefix")
-    p.add_argument("--report", default=None, help="report path (default <out>.report.json)")
+    p.add_argument("--report", default=None, help="report path (default <prefix>.report.json)")
     p.add_argument("--groups", type=int, default=PruneSchedule.num_groups)
     p.add_argument("--step", type=float, default=PruneSchedule.step)
     p.add_argument("--target-conv", type=float, default=PruneSchedule.target_conv)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import copy
 import functools
-import numbers
 import os
 import threading
 
 import numpy as np
 
-from .model import GroupBlock, GroupConvLayer, Model, filter_groups, layer_forward
+from .model import (GroupBlock, GroupConvLayer, Model, _check_seed, _is_integer, filter_groups,
+                    layer_forward)
 
 
 class GranularityError(Exception):
@@ -205,9 +205,10 @@ def layer_deviations(model_a: Model, model_b: Model, input_shape,
     differ in the last bits from one whole-batch forward, since BLAS picks
     its kernel by matrix size.
     """
-    if not isinstance(n_inputs, numbers.Integral) or isinstance(n_inputs, bool) or n_inputs < 1:
+    if not _is_integer(n_inputs) or n_inputs < 1:
         raise ValueError(f"equivalence check needs an integer number of inputs >= 1, "
                          f"got n_inputs={n_inputs!r}")
+    _check_seed(seed, "equivalence check: ")
 
     def deviations(x):
         devs = np.zeros(len(model_b.layers))

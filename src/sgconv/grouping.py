@@ -9,10 +9,11 @@ diagnostics.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import _integer
 
 
 @dataclass
@@ -114,10 +115,7 @@ def kmeans_cluster(vectors: np.ndarray, num_groups: int, seed) -> Grouping:
     the RESTARTS restarts, none runs after one whose objective is exactly 0,
     which no other can beat.
     """
-    if not isinstance(num_groups, numbers.Integral) or isinstance(num_groups, bool):
-        raise ValueError(f"num_groups must be an integer, got {num_groups!r}")
-    if num_groups < 1:
-        raise ValueError(f"num_groups must be >= 1, got {num_groups}")
+    num_groups = _integer(num_groups, "num_groups", 1)
     vectors = np.asarray(vectors, dtype=np.float64)
     if not np.isfinite(vectors).all():
         raise ValueError("importance vectors must be finite (NaN or inf found)")

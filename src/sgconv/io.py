@@ -3,9 +3,10 @@
 The manifest is UTF-8 JSON with sorted keys, so identical models always
 serialize to identical bytes. The blob holds nothing but little-endian
 float32 values, laid out in layer order (weights, then bias), each range
-referenced from the manifest by byte offset and length. Masks travel in
-the manifest as base64-packed row-major bitsets, groupings as plain
-integer arrays; neither ever round-trips through floating point.
+referenced from the manifest by byte offset and length; each of its bytes
+lies in exactly one range. Masks travel in the manifest as base64-packed
+row-major bitsets, groupings as plain integer arrays; neither ever
+round-trips through floating point.
 
 Each layer class writes and reads its whole record (``to_record``,
 ``from_record``, reached through ``KINDS``) through this module's blob
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, Model,
-                    validate_first_conv_uncompressed)
+from .model import (AffineLayer, ConvLayer, FcLayer, GroupConvLayer, Model, _integer,
+                    _is_integer, validate_first_conv_uncompressed)
 
 FORMAT_VERSION = 1
 KINDS = {cls.kind: cls for cls in (ConvLayer, FcLayer, GroupConvLayer, AffineLayer)}
@@ -134,10 +135,9 @@ class _BlobReader:
         offset, length = rec.get(offset_key), rec.get(length_key)
         if offset is None or length is None:
             raise ModelFormatError(f"{what}: missing {offset_key}/{length_key}")
-        for key, value in ((offset_key, offset), (length_key, length)):
-            if type(value) is not int:  # true and 864.0 would be read as 1 and 864
-                raise ModelFormatError(  # a group record has no name: ``what`` names it
-                    f"layer {rec.get('name', what)!r}: {key} must be an integer, got {value!r}")
+        # true and 864.0 would be read as 1 and 864; a group record has no name: what names it
+        offset, length = (_integer(rec[key], key, owner=f"layer {rec.get('name', what)!r}: ")
+                          for key in (offset_key, length_key))
         count = int(np.prod(shape)) if shape else 0
         if length != count * 4 or offset < 0:
             raise ModelFormatError(
@@ -182,7 +182,7 @@ class _BlobReader:
         name, entry = rec["name"], self._entry(self.groupings, rec, "grouping_ref")
         assignment = self.indices(entry["assignment"], f"{name}: grouping assignment")
         num_groups = entry["num_groups"]
-        if type(num_groups) is not int:  # 2.5 would load and be re-saved as another count
+        if not _is_integer(num_groups):  # 2.5 would load and be re-saved as another count
             raise ModelFormatError(f"{name}: grouping num_groups must be an integer, "
                                    f"got {num_groups!r}")
         if len(assignment) != filters:
@@ -197,15 +197,22 @@ class _BlobReader:
     @staticmethod
     def indices(values, what) -> np.ndarray:
         """A JSON list of integers as an int64 array; a float is rejected, not floored."""
-        if not isinstance(values, list) or not all(type(v) is int for v in values):
+        if not isinstance(values, list) or not all(map(_is_integer, values)):
             raise ModelFormatError(f"{what} must be a list of integers")
         return np.array(values, dtype=np.int64)
 
-    def check_disjoint(self):
+    def check_ranges(self):
+        """Refuse blob bytes that two ranges claim, or that none does (a
+        re-save would drop those, so load -> save would not reproduce the file)."""
         spans = sorted((o, o + l, what) for o, l, what in self.ranges if l > 0)
-        for (s0, e0, w0), (s1, e1, w1) in zip(spans, spans[1:]):
-            if s1 < e0:
-                raise OverlappingRangesError(f"blob ranges overlap: {w0} and {w1}")
+        end, last = 0, None
+        for start, stop, what in [*spans, (len(self.raw), None, None)]:  # then the blob's end
+            if start < end:
+                raise OverlappingRangesError(f"blob ranges overlap: {last} and {what}")
+            if start > end:
+                raise ModelFormatError(f"{self.path}: blob bytes [{end}, {start}) "
+                                       f"belong to no range")
+            end, last = stop, what
 
 
 def load_model(manifest_path, blob_path) -> Model:
@@ -220,7 +227,7 @@ def load_model(manifest_path, blob_path) -> Model:
     if not isinstance(manifest, dict) or "format_version" not in manifest:
         raise ModelFormatError(f"{manifest_path}: missing format_version")
     version = manifest["format_version"]
-    if type(version) is not int or version != FORMAT_VERSION:  # True and 1.0 equal 1
+    if not _is_integer(version) or version != FORMAT_VERSION:  # True and 1.0 equal 1
         raise VersionMismatchError(f"{manifest_path}: format_version {version} "
                                    f"unsupported (expected {FORMAT_VERSION})")
     if not isinstance(manifest.get("layers"), list):
@@ -239,7 +246,7 @@ def load_model(manifest_path, blob_path) -> Model:
             raise ModelFormatError(f"{manifest_path}: layer record {index} is malformed "
                                    f"({type(exc).__name__}: {exc})") from exc
         layers.append(layer)
-    blob.check_disjoint()
+    blob.check_ranges()
     model = Model(layers=layers)
     try:
         validate_first_conv_uncompressed(model)
@@ -247,8 +254,8 @@ def load_model(manifest_path, blob_path) -> Model:
         raise ModelFormatError(str(exc)) from exc
     if "input_shape" in manifest:
         shape = manifest["input_shape"]
-        try:  # type() rejects true, and every layer in turn must take the shape ([]: scalars)
-            if not (isinstance(shape, list) and all(type(v) is int and v >= 1 for v in shape)):
+        try:  # true is no integer, and every layer in turn must take the shape ([]: scalars)
+            if not (isinstance(shape, list) and all(_is_integer(v) and v >= 1 for v in shape)):
                 raise ValueError("want a list of integers >= 1")
             list(model.layer_inputs(shape))
         except ValueError as exc:

@@ -42,9 +42,36 @@ def _record(layer, **fields):
     return dict(name=layer.name, kind=layer.kind, activation=layer.activation, **fields)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy's count); a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value, key, low=None, owner=""):
+    """``value`` as a Python int, so that a manifest or report can hold it;
+    ValueError naming ``owner`` and the field ``key`` unless it is an
+    integer, and one >= ``low`` if that is given."""
+    if not _is_integer(value):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{owner}{key} must be an integer{bound}, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{owner}{key} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _check_seed(seed, owner=""):
+    """Reject a seed that is not an integer >= 0 or a non-empty sequence of
+    them; numpy would take a bool as 0 or 1 and name no field for the rest."""
+    seeds = seed if isinstance(seed, (tuple, list)) else [seed]
+    if not seeds or not all(_is_integer(v) and v >= 0 for v in seeds):
+        raise ValueError(f"{owner}seed must be an integer >= 0 or a non-empty sequence of "
+                         f"them, got {seed!r}")
+
+
 def _check_settings(layer):
     """Reject a non-string name, a non-boolean ``compress`` and an activation,
-    stride or padding no forward pass can run, naming the layer."""
+    stride or padding no forward pass can run, naming the layer; a layer's
+    own stride and padding are stored as Python ints."""
     if not isinstance(layer.name, str):
         raise ValueError(f"layer name must be a string, got {layer.name!r}")
     if not isinstance(layer.compress, bool):  # a string such as "false" would be truthy
@@ -54,10 +81,8 @@ def _check_settings(layer):
         raise ValueError(f"layer {layer.name!r}: activation {layer.activation!r} is not "
                          f"one of {ops.ACTIVATIONS}")
     for key, low in (("stride", 1), ("padding", 0)):
-        value = getattr(layer, key, low)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-            raise ValueError(f"layer {layer.name!r}: {key} must be an integer >= {low}, "
-                             f"got {value!r}")
+        if key in vars(layer):  # an fc layer's are class constants, an affine has none
+            setattr(layer, key, _integer(vars(layer)[key], key, low, f"layer {layer.name!r}: "))
 
 
 def _check_bias(layer, c_out):
@@ -67,23 +92,10 @@ def _check_bias(layer, c_out):
                          f"({c_out},)")
 
 
-def _check_sizes(layer, sizes):
-    """Reject a channel count or kernel of 0, naming the layer; ``sizes``
-    holds (record field, value) pairs."""
-    for key, size in sizes:
-        if size < 1:
-            raise ValueError(f"layer {layer.name!r}: {key} must be >= 1, got {size}")
-
-
 def _record_sizes(rec, keys):
-    """The size fields ``keys`` of a manifest record, each refused unless it
-    is an integer (a bool is not one), naming the layer and the field."""
-    sizes = tuple(rec[key] for key in keys)
-    for key, size in zip(keys, sizes):
-        if not isinstance(size, numbers.Integral) or isinstance(size, bool):
-            raise ValueError(f"layer {rec['name']!r}: {key} must be an integer, "
-                             f"got {size!r}")
-    return sizes
+    """The integer fields ``keys`` of a manifest record, naming the layer;
+    each layer refuses a size below 1 as it is built."""
+    return tuple(_integer(rec[key], key, owner=f"layer {rec['name']!r}: ") for key in keys)
 
 
 def mask_dead_fraction(mask: np.ndarray) -> float:
@@ -124,7 +136,8 @@ class MaskedLayer:
         if len(shape) != len(self.shape_fields) or shape[2:] != (self.kernel,) * (len(shape) - 2):
             raise ValueError(f"layer {self.name!r}: weight shape {shape} is not "
                              f"({', '.join(self.shape_fields)})")
-        _check_sizes(self, zip(self.shape_fields, shape))
+        for key, size in zip(self.shape_fields, shape):
+            _integer(size, key, 1, f"layer {self.name!r}: ")
         _check_bias(self, shape[0])
         if self.mask is None:
             self.mask = np.ones(shape[:2], dtype=bool)
@@ -245,11 +258,13 @@ class GroupConvLayer:
         weights and may snapshot them, so the blocks are fixed from here on and
         their weights are read-only (an in-place edit raises)."""
         _check_settings(self)
+        owner = f"layer {self.name!r}: "
+        self.out_channels = _integer(self.out_channels, "out_channels", 1, owner)
+        self.in_channels = _integer(self.in_channels, "in_channels", 1, owner)
+        self.kernel = _integer(self.kernel, "kernel_size", 1, owner)
         if self.source not in ("conv2d", "fc") or (self.source == "fc" and self.kernel != 1):
             raise ValueError(f"layer {self.name!r}: source {self.source!r} with kernel "
                              f"{self.kernel} is neither conv2d nor a kernel-1 fc")
-        _check_sizes(self, (("out_channels", self.out_channels),
-                            ("in_channels", self.in_channels), ("kernel_size", self.kernel)))
         _check_bias(self, self.out_channels)  # before the plan freezes the weights
         self.plan = ops.GroupExecPlan(
             [(g.filter_indices, g.channel_indices, g.weight) for g in self.groups],
@@ -359,7 +374,7 @@ class AffineLayer:
         if self.scale.ndim != 1 or self.shift.shape != self.scale.shape:
             raise ValueError(f"layer {self.name!r}: scale and shift must both be (C,), "
                              f"got {self.scale.shape} and {self.shift.shape}")
-        _check_sizes(self, (("channels", self.scale.size),))
+        _integer(self.scale.size, "channels", 1, f"layer {self.name!r}: ")
 
     def _per_channel(self, v, ndim):
         return v.reshape(1, -1, *([1] * (ndim - 2)))

@@ -29,7 +29,8 @@ from .data import Dataset
 from .deploy import batch_size_for, count_flops, count_params, map_batches
 from .grouping import kmeans_cluster
 from .importance import layer_importance
-from .model import Model, apply_mask, mask_dead_fraction, validate_first_conv_uncompressed
+from .model import (Model, _check_seed, _integer, _is_integer, apply_mask, mask_dead_fraction,
+                    validate_first_conv_uncompressed)
 from .pruning import (RATIO_EPS, kill_bundles, model_dead_fraction, model_ratios,
                       partial_elements, prune_to_ratio)
 
@@ -56,12 +57,10 @@ class TrainConfig:
     def __post_init__(self):
         _check_fields(self, {"epochs": 0, "batch_size": 1}, {"lr": ">= 0"})
         steps = self.lr_milestones
-        if not isinstance(steps, (tuple, list)) or not all(map(_natural, steps)):
+        if not (isinstance(steps, (tuple, list))
+                and all(_is_integer(v) and v >= 0 for v in steps)):
             raise ValueError(f"lr_milestones must be a sequence of integers >= 0, got {steps!r}")
-        seeds = self.seed if isinstance(self.seed, (tuple, list)) else [self.seed]
-        if not seeds or not all(map(_natural, seeds)):
-            raise ValueError(f"seed must be an integer >= 0 or a non-empty sequence of "
-                             f"them, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -92,11 +91,6 @@ class PruneSchedule:
             raise ValueError(f"finetune must be one of {FINETUNE_MODES}, got {self.finetune!r}")
 
 
-def _natural(value) -> bool:
-    """Whether ``value`` is an integer >= 0; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
-
-
 # The range of each real-valued setting, by the words its error uses.
 REAL_RANGES = {"positive": lambda v: v > 0, ">= 0": lambda v: v >= 0,
                "in [0, 1]": lambda v: 0 <= v <= 1}
@@ -108,21 +102,16 @@ def _check_fields(config, minimums: dict, reals: dict) -> None:
     below its minimum; a ``reals`` field that is not a finite real number
     (a bool is not one) in its REAL_RANGES range. A numpy scalar is stored
     as the Python number it equals, so that a report can hold the config."""
-    for key in (*minimums, *reals):
-        value = getattr(config, key)
-        if isinstance(value, np.generic):
-            setattr(config, key, value.item())
     for key, low in minimums.items():
-        value = getattr(config, key)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{key} must be >= {low}, got {value}")
+        setattr(config, key, _integer(getattr(config, key), key, low))
     for key, bounds in reals.items():
         value = getattr(config, key)
+        if isinstance(value, np.generic):
+            value = value.item()
+            setattr(config, key, value)
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         # every integer is finite, and math.isfinite overflows on a huge one
-        if not (real and (isinstance(value, numbers.Integral) or math.isfinite(value))
+        if not (real and (_is_integer(value) or math.isfinite(value))
                 and REAL_RANGES[bounds](value)):
             raise ValueError(f"{key} must be finite and {bounds}, got {value!r}")
 

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,21 @@ def test_prune_writes_model_and_report(workspace, capsys):
     model = load_model(workspace / "pruned.sgm.json", workspace / "pruned.sgm.bin")
     assert not model.layer("conv2").mask.all()
     assert "final ratios" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", ["p", "p.sgm.json", "p.sgm.bin"])
+def test_prune_report_goes_next_to_the_model(workspace, capsys, out):
+    """The report path is the model's prefix, as sgm_paths resolves --out;
+    it was <out>.report.json, so p.sgm.json.report.json for --out p.sgm.json."""
+    code = main(["prune", "--model", str(workspace / "toy.sgm.json"),
+                 "--data", str(workspace / "train.sgd"), "--step", "0.2",
+                 "--target-conv", "0.2", "--target-fc", "0.2", "--finetune", "none",
+                 "--out", str(workspace / out)])
+    assert code == 0
+    assert f"report {workspace / 'p.report.json'}\n" in capsys.readouterr().out
+    assert json.loads((workspace / "p.report.json").read_text())["schema_version"] == 1
+    assert sorted(path.name for path in workspace.glob("p.*")) == [
+        "p.report.json", "p.sgm.bin", "p.sgm.json"]
 
 
 def test_prune_zero_targets_leave_model_unchanged(workspace):
@@ -350,6 +366,34 @@ def test_report_shows_executor_of_deployed_layers(workspace, capsys):
     assert doc["schema_version"] == 1
 
 
+def test_grouped_fc_layer_is_deployed_reported_and_evaluated(tmp_path, capsys):
+    """A 256 -> 32 fc layer in 4 groups of 8 filters, each group reading its
+    own 64 inputs: its plan bills 2,048 block MACs plus 8 x 256 for the
+    gather against 8,192 dense, so it runs grouped, the branch of
+    ops.group_fc_forward that no other CLI flow takes."""
+    rng = np.random.default_rng(0)
+    conv = ConvLayer("conv1", (rng.standard_normal((4, 3, 3, 3)) * 0.5).astype(np.float32),
+                     np.zeros(4, np.float32), activation="relu", padding=1, compress=False)
+    fc = FcLayer("fc1", (rng.standard_normal((32, 256)) * 0.1).astype(np.float32),
+                 np.zeros(32, np.float32))
+    fc.grouping = np.arange(32) // 8
+    fc.mask = np.arange(256)[None, :] // 64 == fc.grouping[:, None]
+    apply_mask(fc)
+    model = Model([conv, fc], input_shape=(3, 8, 8))
+    data = make_blob_dataset(200, num_classes=4, seed=5)
+    sgd_finetune(model, data, TrainConfig(epochs=5, lr=0.05, seed=0))
+    save_model(model, *sgm_paths(tmp_path / "m"))
+    save_dataset(data, tmp_path / "d.sgd")
+    assert main(["deploy", "--model", str(tmp_path / "m"), "--out", str(tmp_path / "g")]) == 0
+    assert "equivalence check passed" in capsys.readouterr().out
+    assert main(["report", "--model", str(tmp_path / "g")]) == 0
+    assert re.search(r"fc1 +groupconv +groups 4  executor grouped", capsys.readouterr().out)
+    assert main(["eval", "--model", str(tmp_path / "g"), "--data", str(tmp_path / "d.sgd")]) == 0
+    top1 = evaluate(model, data)["top1"]
+    assert capsys.readouterr().out == f"top1 {top1:.4f}\n"
+    assert top1 > 0.9  # trained: a forward that misread the groups would hardly score so
+
+
 def test_sweep_grid_rows_and_scope(workspace):
     out_csv = workspace / "sweep.csv"
     code = main(["sweep", "--model", str(workspace / "toy.sgm.json"),
@@ -527,6 +571,14 @@ def test_deploy_check_inputs_below_1_exits_2(workspace, capsys, count):
                  "--check-inputs", count, "--out", str(workspace / "d")])
     assert code == 2
     assert f"n_inputs={count}" in capsys.readouterr().err
+    assert not (workspace / "d.sgm.json").exists()
+
+
+def test_deploy_seed_below_0_exits_2_naming_the_seed(workspace, capsys):
+    code = main(["deploy", "--model", str(workspace / "toy.sgm.json"),
+                 "--seed", "-1", "--out", str(workspace / "d")])
+    assert code == 2
+    assert "error: equivalence check: seed must be an integer >= 0" in capsys.readouterr().err
     assert not (workspace / "d.sgm.json").exists()
 
 

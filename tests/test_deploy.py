@@ -201,6 +201,18 @@ def test_equivalence_check_needs_an_input():
             layer_deviations(model, convert_model(model), (3, 8, 8), n_inputs=count)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, [], [2, -1], np.float64(2)])
+def test_equivalence_check_refuses_a_bad_seed_naming_it(seed):
+    """numpy refused -1 and 1.5 without naming the seed, and took True as 1."""
+    model = build_toy_cnn(6)
+    for check in (verify_equivalence, layer_deviations):
+        with pytest.raises(ValueError, match=r"equivalence check: seed must be an integer "
+                                             r">= 0 or a non-empty sequence of them"):
+            check(model, convert_model(model), (3, 8, 8), n_inputs=4, seed=seed)
+    assert layer_deviations(model, convert_model(model), (3, 8, 8), n_inputs=4,
+                            seed=np.int64(3))[-1] <= 1e-5
+
+
 def test_models_without_layers_deviate_by_0():
     empty = Model(layers=[])
     assert layer_deviations(empty, empty, (3, 4, 4)).size == 0

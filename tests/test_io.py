@@ -147,6 +147,27 @@ def test_overlapping_ranges(tmp_path):
         load_model(manifest, blob)
 
 
+@pytest.mark.parametrize("where", ["trailing", "gap"])
+def test_blob_bytes_that_no_range_claims_are_refused(tmp_path, capsys, where):
+    """Such bytes loaded, and a re-save dropped them, so load -> save did not
+    reproduce the file; the error names the byte span."""
+    manifest, blob = sgm_paths(tmp_path / "t")
+    save_model(build_toy_cnn(1), manifest, blob)
+    raw, doc = blob.read_bytes(), json.loads(manifest.read_text())
+    cut = len(raw) if where == "trailing" else doc["layers"][1]["blob_offset"]
+    blob.write_bytes(raw[:cut] + bytes(8) + raw[cut:])
+    for rec in doc["layers"]:
+        for key in ("blob_offset", "bias_offset"):
+            if rec[key] >= cut:
+                rec[key] += 8
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=rf"blob bytes \[{cut}, {cut + 8}\) "
+                                               rf"belong to no range"):
+        load_model(manifest, blob)
+    assert main(["report", "--model", str(manifest)]) == 2
+    assert f"[{cut}, {cut + 8}) belong to no range" in capsys.readouterr().err
+
+
 def test_version_mismatch(tmp_path):
     model = build_toy_cnn(1)
     manifest, blob = sgm_paths(tmp_path / "t")

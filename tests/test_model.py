@@ -1,4 +1,6 @@
 """Layer records, model forward plumbing, masking."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_group_assignment, random_group_mask
 from sgconv import ops
 from sgconv.deploy import convert_layer, convert_model
-from sgconv.io import KINDS
+from sgconv.io import KINDS, load_model, save_model, sgm_paths
 from sgconv.model import (MAX_LAYER_VALUES, AffineLayer, ConvLayer, FcLayer, GroupBlock,
                           GroupConvLayer, Model, apply_mask, layer_forward,
                           validate_first_conv_uncompressed)
@@ -79,10 +81,10 @@ def test_first_conv_convention_enforced(rng):
 
 
 @pytest.mark.parametrize("settings, match", [
-    ({"stride": 0}, "stride must be an integer >= 1"),
+    ({"stride": 0}, "stride must be >= 1, got 0"),
     ({"stride": 1.5}, "stride must be an integer >= 1"),
     ({"stride": True}, "stride must be an integer >= 1"),
-    ({"padding": -1}, "padding must be an integer >= 0"),
+    ({"padding": -1}, "padding must be >= 0, got -1"),
     ({"activation": "tanh"}, "activation 'tanh'"),
     ({"weight": np.zeros((2, 3, 3, 5), np.float32)}, r"weight shape \(2, 3, 3, 5\) is not "
      r"\(out_channels, in_channels, kernel_size, kernel_size\)"),
@@ -123,6 +125,42 @@ def test_group_layer_rejects_a_bias_that_is_not_one_per_filter(rng, source):
         assert block.weight.flags.writeable  # a failed construction freezes nothing
     GroupConvLayer("g", [block], in_channels=3, out_channels=2, kernel=kernel,
                    bias=np.zeros(2, np.float32), source=source)
+
+
+def test_numpy_integer_sizes_and_settings_are_stored_as_python_ints(rng, tmp_path):
+    """A numpy integer given for a size, stride or padding is stored as the
+    int it equals; kept as numpy's, it ran but failed the save with JSON's
+    TypeError."""
+    conv = ConvLayer("c1", rng.standard_normal((2, 3, 3, 3)).astype(np.float32),
+                     stride=np.int64(1), padding=np.int64(1), compress=False)
+    block = GroupBlock(np.arange(2), np.arange(2),
+                       rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
+    group = GroupConvLayer("g", [block], in_channels=np.int32(2), out_channels=np.int64(2),
+                           kernel=np.int64(3), stride=np.uint8(1), padding=np.int64(1))
+    model = Model([conv, group], input_shape=(3, 5, 5))
+    x = rng.standard_normal((1, 3, 5, 5)).astype(np.float32)
+    manifest, blob = sgm_paths(tmp_path / "m")
+    save_model(model, manifest, blob)
+    loaded = load_model(manifest, blob)
+    for layer in (conv, group, *loaded.layers):
+        assert type(layer.stride) is int and type(layer.padding) is int, layer.name
+    for layer in (group, loaded.layers[1]):
+        assert {type(layer.in_channels), type(layer.out_channels), type(layer.kernel)} == {int}
+    np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("in_channels", 2.0, "in_channels"), ("out_channels", "2", "out_channels"),
+    ("kernel", 3.0, "kernel_size"), ("kernel", True, "kernel_size"),
+    ("out_channels", np.float64(2), "out_channels")])
+def test_group_layer_refuses_a_size_that_is_not_an_integer(rng, key, value, field):
+    """numpy's TypeError on a float size named no layer and no field."""
+    block = GroupBlock(np.arange(2), np.arange(2),
+                       rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
+    sizes = {"in_channels": 2, "out_channels": 2, "kernel": 3, key: value}
+    with pytest.raises(ValueError, match=f"layer 'g': {field} must be an integer >= 1, "
+                                         f"got {re.escape(repr(value))}"):
+        GroupConvLayer("g", [block], **sizes)
 
 
 def test_conv_shape_walk_caps_padded_input_and_output_per_sample():
