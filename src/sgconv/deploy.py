@@ -16,12 +16,8 @@ import threading
 
 import numpy as np
 
-from .model import (GroupBlock, GroupConvLayer, Model, _check_seed, _is_integer, filter_groups,
-                    layer_forward)
-
-
-class GranularityError(Exception):
-    """Mask is not uniform across the filters of a group (corrupt mask)."""
+from .model import GroupBlock, GroupConvLayer, Model, _check_seed, _is_integer, layer_forward
+from .pruning import GranularityError, filter_groups
 
 
 class EquivalenceError(Exception):
@@ -31,21 +27,18 @@ class EquivalenceError(Exception):
 def convert_layer(layer):
     """Rewrite a masked conv/fc layer as an equivalent group-conv layer.
 
-    Each group becomes one block: its filters, in ascending order, and the
-    input channels their mask rows keep. Groups whose channels are all
-    pruned get an empty channel list (their filters emit bias only). The
-    groups are those of ``filter_groups``. Raises GranularityError when the
-    mask rows of a group disagree.
+    Each group of ``filter_groups`` becomes one block: its filters, in
+    ascending order, and the input channels the mask row of its first
+    filter keeps, which the group rule makes those of every filter in it.
+    Groups whose channels are all pruned get an empty channel list (their
+    filters emit bias only). Raises GranularityError, from the rule, when
+    the mask rows of a group disagree.
     """
     assignment = filter_groups(layer)
     blocks = []
     for gid in range(int(assignment.max()) + 1):
         filt = np.flatnonzero(assignment == gid)
-        rows = layer.mask[filt]
-        if len(filt) and not (rows == rows[0]).all():
-            raise GranularityError(f"layer {layer.name!r} group {gid}: filters "
-                                   f"{filt.tolist()} carry different channel masks")
-        channels = np.flatnonzero(rows[0]) if len(filt) else np.empty(0, dtype=np.int64)
+        channels = np.flatnonzero(layer.mask[filt[0]]) if len(filt) else np.empty(0, np.int64)
         blocks.append(GroupBlock(filt, channels, np.ascontiguousarray(
             layer.kernels[np.ix_(filt, channels)])))
     return GroupConvLayer(

@@ -176,10 +176,13 @@ class MaskedLayer:
     @classmethod
     def from_record(cls, rec, blob):
         name, shape = rec["name"], _record_sizes(rec, cls.shape_fields)
-        return cls(name, blob.fetch(rec, shape, name), blob.bias(rec, shape[0]),
-                   activation=rec["activation"], compress=rec["compress"],
-                   mask=blob.mask(rec, shape[:2]), grouping=blob.grouping(rec, shape[0]),
-                   **{key: rec[key] for key in cls.setting_fields})
+        layer = cls(name, blob.fetch(rec, shape, name), blob.bias(rec, shape[0]),
+                    activation=rec["activation"], compress=rec["compress"],
+                    mask=blob.mask(rec, shape[:2]), grouping=blob.grouping(rec, shape[0]),
+                    **{key: rec[key] for key in cls.setting_fields})
+        if layer.kernels[~layer.mask].any():  # -0.0, which apply_mask leaves, is 0
+            raise ValueError(f"layer {name!r}: weights of masked-out connections must be 0")
+        return layer
 
 
 @dataclass
@@ -334,14 +337,6 @@ class GroupConvLayer:
             mask[np.ix_(g.filter_indices, g.channel_indices)] = True
         return mask
 
-    @property
-    def grouping(self) -> np.ndarray:
-        """Group id per filter: the index of the block that holds it."""
-        grouping = np.zeros(self.out_channels, dtype=np.int64)
-        for gid, g in enumerate(self.groups):
-            grouping[g.filter_indices] = gid
-        return grouping
-
     def describe(self, shape):
         """How the plan runs on a per-sample input ``shape``: its executor, the
         block layout it chose from, and the FLOPs executed next to those billed
@@ -453,18 +448,6 @@ class Model:
 def layer_forward(layer, x):
     """Run one layer (linear part + activation) on a batch."""
     return ops.apply_activation(layer.linear(x), layer.activation)
-
-
-def filter_groups(layer) -> np.ndarray:
-    """Group id per filter of a counted layer. One never clustered counts as
-    a single all-filter group while its mask keeps every connection; pruned,
-    it has no grouping that deployment or the ratio formula could use, so
-    that raises ValueError naming the layer."""
-    if layer.grouping is not None:
-        return layer.grouping
-    if not layer.mask.all():
-        raise ValueError(f"layer {layer.name!r} is pruned but has no grouping")
-    return np.zeros(layer.mask.shape[0], dtype=np.int64)
 
 
 def apply_mask(layer) -> None:

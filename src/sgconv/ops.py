@@ -290,15 +290,16 @@ GATHER_COST = 8
 class GroupExecPlan:
     """A grouped layer's blocks, validated once and laid out for its forward.
 
-    Built from (filter_indices, channel_indices, weight) triples; weights
-    are (n_f, n_c, k, k), or (n_f, n_c) with kernel 1. The filter lists
-    must partition 0..out_channels-1, every channel index must lie in
-    0..in_channels-1 and no block may list a channel twice. The plan keeps
-    the sorted union of live channels and, per block with channels, its
-    filters, its row indices into the union's unfolded (channel, ky, kx)
-    columns and a 2-d view of its weight. It iterates as the triples it
-    was built from. The grouped kernels take nothing else about the
-    layer: they read its widths, kernel and name from the plan.
+    Built from (filter_indices, channel_indices, weight) triples; every
+    weight, an empty block's too, is (n_f, n_c, k, k), or (n_f, n_c) with
+    kernel 1. The filter lists must partition 0..out_channels-1, every
+    channel index must lie in 0..in_channels-1 and no block may list a
+    channel twice. The plan keeps the sorted union of live channels and,
+    per block with channels, its filters, its row indices into the union's
+    unfolded (channel, ky, kx) columns and a 2-d view of its weight. It
+    iterates as the triples it was built from. The grouped kernels take
+    nothing else about the layer: they read its widths, kernel and name
+    from the plan.
 
     ``executor`` is "dense" when one GEMM on the zero-filled
     (C_out, C_in, k, k) weight is billed less than the blocks (see
@@ -329,11 +330,11 @@ class GroupExecPlan:
         taps = kernel * kernel
         self.blocks = []
         for gi, (f, c, w) in enumerate(self.triples):
-            if not (len(f) and len(c)):
-                continue
             if w.shape[:2] != (len(f), len(c)) or w.size != len(f) * len(c) * taps:
                 raise ValueError(f"{name}: group {gi} weight {tuple(w.shape)} does not fit "
                                  f"{len(f)} filters x {len(c)} channels x {kernel}x{kernel}")
+            if not (len(f) and len(c)):
+                continue
             if len(np.unique(c)) != len(c):
                 raise ValueError(f"{name}: group {gi} lists an input channel twice")
             rows = (np.searchsorted(self.union, c)[:, None] * taps + np.arange(taps)).ravel()

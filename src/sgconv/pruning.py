@@ -1,22 +1,27 @@
-"""Centroid-ranked connection pruning and compression-ratio accounting.
+"""Centroid-ranked connection pruning, the group rule and ratio accounting.
 
 A centroid element (group i, channel j) stands for the bundle of
 connections (f, j) over every filter f in group i. Pruning always acts
-on whole bundles, so masks stay uniform within a group and the ratio
-formula below agrees exactly with counting dead connections on the
-mask. Elements whose bundle is already dead carry value 0 (masked
-importance), which keeps cumulative targets well defined across
-iterations.
+on whole bundles, so masks stay uniform within a group: the group rule,
+which ``filter_groups`` alone checks, for deployment and ratio accounting
+alike. Under it the ratio formula below equals the dead-connection count
+integer for integer, so the reported ratios are those counts. Elements
+whose bundle is already dead carry value 0 (masked importance), which
+keeps cumulative targets well defined across iterations.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .grouping import group_sizes
-from .model import apply_mask, filter_groups
+from .model import apply_mask
 
 # float slack when comparing achieved ratios against accumulated t*s targets
 RATIO_EPS = 1e-9
+
+
+class GranularityError(Exception):
+    """Mask is not uniform across the filters of a group (corrupt mask)."""
 
 
 def _bundle_dead_counts(mask: np.ndarray, assignment: np.ndarray, num_groups: int):
@@ -38,6 +43,27 @@ def partial_elements(mask: np.ndarray, assignment: np.ndarray, num_groups: int) 
     return (dead > 0) & (dead < sizes)
 
 
+def filter_groups(layer) -> np.ndarray:
+    """Group id per filter of a compressible layer, under the group rule.
+    One never clustered counts as a single all-filter group while its mask
+    keeps every connection; pruned, it has no grouping that deployment or
+    the ratio formula could use, so that raises ValueError naming the layer.
+    A bundle dead for only some filters of its group raises GranularityError
+    naming the layer, the first such group and its filters."""
+    if layer.grouping is None:
+        if not layer.mask.all():
+            raise ValueError(f"layer {layer.name!r} is pruned but has no grouping")
+        return np.zeros(layer.mask.shape[0], dtype=np.int64)
+    assignment = layer.grouping
+    partial = partial_elements(layer.mask, assignment, int(assignment.max()) + 1)
+    if partial.any():
+        gid = int(np.flatnonzero(partial.any(axis=1))[0])
+        raise GranularityError(f"layer {layer.name!r} group {gid}: filters "
+                               f"{np.flatnonzero(assignment == gid).tolist()} carry "
+                               f"different channel masks")
+    return assignment
+
+
 def compression_ratio_layer(assignment: np.ndarray, pruned: np.ndarray) -> float:
     """Fraction of connections removed: sum_i n_i*|g_i| / sum_i C_in*|g_i|."""
     return compression_ratio_network([(assignment, pruned)])
@@ -57,30 +83,14 @@ def compression_ratio_network(items) -> float:
     return removed / total
 
 
-def _counted(model, kind: str | None):
-    """The layers whose connections the ratios count, optionally only those of
-    one kind: compressible conv/fc layers, and group layers under the kind of
-    layer they were deployed from (their masks and groupings rebuilt from
-    their blocks), so a deployed model reports the ratios it was pruned to."""
-    return [layer for layer in model.layers
-            if layer.ratio_kind is not None and kind in (None, layer.ratio_kind)]
-
-
-def model_ratio_items(model):
-    """(assignment, pruned-elements) pairs feeding the pooled ratio formula,
-    one per counted layer, grouped by ``filter_groups``: a layer never
-    clustered still has its connections in the denominator."""
-    items = []
-    for layer in _counted(model, None):
-        assignment = filter_groups(layer)
-        num_groups = int(assignment.max(initial=0)) + 1
-        items.append((assignment, pruned_elements(layer.mask, assignment, num_groups)))
-    return items
-
-
 def model_dead_fraction(model, kind: str | None = None) -> float:
-    """Pooled dead-connection fraction over the counted layers, optionally by kind."""
-    masks = [layer.mask for layer in _counted(model, kind)]
+    """Pooled dead-connection fraction over the layers the ratios count,
+    optionally only those of one kind: compressible conv/fc layers, and group
+    layers under the kind of layer they were deployed from (their masks
+    rebuilt from their blocks), so a deployed model reports the ratios it
+    was pruned to."""
+    masks = [layer.mask for layer in model.layers
+             if layer.ratio_kind is not None and kind in (None, layer.ratio_kind)]
     total = sum(mask.size for mask in masks)
     if total == 0:
         return 0.0
@@ -88,10 +98,16 @@ def model_dead_fraction(model, kind: str | None = None) -> float:
 
 
 def model_ratios(model) -> dict:
-    """The conv and fc dead-connection fractions and the pooled network ratio."""
+    """The conv, fc and pooled network dead-connection fractions, once every
+    compressible layer passes the group rule (``filter_groups``), under which
+    they equal the ratio formula. A deployed group layer keeps the rule by
+    construction, so it is not checked."""
+    for layer in model.layers:
+        if layer.compress:
+            filter_groups(layer)
     return {"conv_ratio": model_dead_fraction(model, "conv2d"),
             "fc_ratio": model_dead_fraction(model, "fc"),
-            "network_ratio": compression_ratio_network(model_ratio_items(model))}
+            "network_ratio": model_dead_fraction(model)}
 
 
 def kill_bundles(layer, assignment: np.ndarray, dead: np.ndarray) -> None:

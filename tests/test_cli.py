@@ -96,14 +96,15 @@ def test_deploy_unpruned_identical_params(workspace, capsys):
     assert count_params(deployed) == count_params(original)
 
 
-def test_deploy_corrupt_mask_exits_3(workspace, capsys):
+def corrupt_pruned_model(workspace):
+    """Prune the toy model to ``p``, then revive one dead connection inside a
+    multi-filter group, which breaks the group rule; returns the layer and
+    group id whose filters then disagree."""
     main(["prune", "--model", str(workspace / "toy.sgm.json"),
           "--data", str(workspace / "train.sgd"), "--step", "0.2",
           "--target-conv", "0.4", "--target-fc", "0.4", "--groups", "3",
           "--finetune", "none", "--seed", "1", "--out", str(workspace / "p")])
     model = load_model(workspace / "p.sgm.json", workspace / "p.sgm.bin")
-    # revive one connection inside a multi-filter group: granularity breaks
-    corrupted = False
     for layer in model.layers:
         if layer.kind not in ("conv2d", "fc") or layer.grouping is None:
             continue
@@ -111,17 +112,30 @@ def test_deploy_corrupt_mask_exits_3(workspace, capsys):
         for f, ch in np.argwhere(~layer.mask):
             if sizes[layer.grouping[f]] >= 2:
                 layer.mask[f, ch] = True
-                corrupted = True
-                break
-        if corrupted:
-            break
-    assert corrupted
-    save_model(model, workspace / "p.sgm.json", workspace / "p.sgm.bin")
+                save_model(model, workspace / "p.sgm.json", workspace / "p.sgm.bin")
+                return layer.name, int(layer.grouping[f])
+    raise AssertionError("no multi-filter group holds a dead connection")
+
+
+def test_deploy_corrupt_mask_exits_3(workspace, capsys):
+    corrupt_pruned_model(workspace)
     code = main(["deploy", "--model", str(workspace / "p.sgm.json"),
                  "--out", str(workspace / "d")])
     assert code == 3
     assert "mask" in capsys.readouterr().err
     assert not (workspace / "d.sgm.json").exists()  # refused to write
+
+
+def test_report_refuses_a_corrupt_mask_as_deploy_does(workspace, capsys):
+    """report printed ratios for a mask that deploy refuses (exit 0); it now
+    passes every compressible layer through the same group rule."""
+    name, gid = corrupt_pruned_model(workspace)
+    capsys.readouterr()
+    assert main(["report", "--model", str(workspace / "p.sgm.json")]) == 3
+    out, err = capsys.readouterr()
+    assert re.search(rf"^error: layer {name!r} group {gid}: filters \[[0-9, ]+\] carry "
+                     rf"different channel masks$", err, re.M), err
+    assert "ratios" not in out
 
 
 def test_eval_prints_accuracy(workspace, capsys):

@@ -16,7 +16,20 @@ from sgconv.deploy import (GranularityError, convert_layer,
 from sgconv.io import load_model, save_model, sgm_paths
 from sgconv.model import (ConvLayer, FcLayer, GroupBlock, Model, apply_mask,
                           build_toy_cnn)
-from sgconv.pruning import model_ratios
+from sgconv.pruning import (compression_ratio_network, filter_groups, model_ratios,
+                            pruned_elements)
+
+
+def formula_network_ratio(model):
+    """The paper's pooled ratio formula over the groups of the compressible
+    layers of a masked model."""
+    items = []
+    for layer in model.layers:
+        if layer.compress:
+            assignment = filter_groups(layer)
+            items.append((assignment, pruned_elements(layer.mask, assignment,
+                                                      int(assignment.max()) + 1)))
+    return compression_ratio_network(items)
 
 
 def blocks_of(assignment, mask):
@@ -430,3 +443,4 @@ def test_conversion_properties_over_random_chains(seed):
         save_model(load_model(*first), *second)
         assert [p.read_bytes() for p in first] == [p.read_bytes() for p in second]
     assert model_ratios(deployed) == model_ratios(model)
+    assert model_ratios(model)["network_ratio"] == formula_network_ratio(model)

@@ -168,6 +168,30 @@ def test_blob_bytes_that_no_range_claims_are_refused(tmp_path, capsys, where):
     assert f"[{cut}, {cut + 8}) belong to no range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [5.0, -0.0])
+def test_weights_on_dead_connections_are_refused(tmp_path, rng, capsys, value):
+    """A blob whose dead kernel holds 5.0 loaded: eval ran the unmasked weight,
+    report exited 0 and deploy failed its equivalence check (exit 3). -0.0,
+    which apply_mask leaves on negative weights, is a zero and loads."""
+    manifest, blob = sgm_paths(tmp_path / "t")
+    save_model(prune_a_bit(build_toy_cnn(1), rng), manifest, blob)
+    assert not load_model(manifest, blob).layer("conv2").mask[2, 3]  # group 1, channel 3
+    raw = bytearray(blob.read_bytes())
+    offset = json.loads(manifest.read_text())["layers"][1]["blob_offset"]
+    tap = offset + 4 * ((2 * 8 + 3) * 9 + 4)  # (filter 2, channel 3), centre tap
+    raw[tap:tap + 4] = np.array(value, "<f4").tobytes()
+    blob.write_bytes(bytes(raw))
+    if value:
+        with pytest.raises(ModelFormatError, match="layer 'conv2': weights of masked-out "
+                                                   "connections must be 0"):
+            load_model(manifest, blob)
+        assert main(["report", "--model", str(manifest)]) == 2
+        assert "weights of masked-out connections must be 0" in capsys.readouterr().err
+    else:
+        assert load_model(manifest, blob).layer("conv2").weight[2, 3, 1, 1] == 0
+        assert main(["report", "--model", str(manifest)]) == 0
+
+
 def test_version_mismatch(tmp_path):
     model = build_toy_cnn(1)
     manifest, blob = sgm_paths(tmp_path / "t")

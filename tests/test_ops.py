@@ -432,6 +432,20 @@ def test_group_conv_errors(rng):
         ops.group_conv_forward(np.zeros((1, 1, 2, 2), np.float32), plan)
 
 
+@pytest.mark.parametrize("filters,channels", [([2, 3], []), ([], [0, 1])])
+def test_empty_block_weight_must_fit_its_block(filters, channels):
+    """A block with no channels or no filters runs nothing, but its weight is
+    billed and saved: one that did not fit built, count_params billed its 90
+    values and save_model wrote a file that load_model refused."""
+    rest = [f for f in range(4) if f not in filters]
+    blocks = [GroupBlock(rest, [0, 1, 2], np.ones((len(rest), 3, 3, 3), np.float32)),
+              GroupBlock(filters, channels, np.ones((2, 5, 3, 3), np.float32))]
+    with pytest.raises(ValueError, match=rf"^g: group 1 weight \(2, 5, 3, 3\) does not fit "
+                                         rf"{len(filters)} filters x {len(channels)} "
+                                         rf"channels x 3x3$"):
+        GroupConvLayer("g", blocks, in_channels=3, out_channels=4, kernel=3)
+
+
 def group_forward_reference(x, groups, out_channels, bias=None, *, stride=1, padding=0):
     """The per-group loop the planned forward replaces: gather each group's
     channels, run a dense conv (4-d input) or fc (2-d input) block on them,

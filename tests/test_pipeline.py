@@ -22,6 +22,7 @@ from sgconv.pipeline import (PruneSchedule, TrainConfig, _backward, _forward_cac
                              evaluate, run_algorithm1, sgd_finetune)
 from sgconv.pruning import (compression_ratio_layer, model_dead_fraction, partial_elements,
                             prune_to_ratio, pruned_elements)
+from test_deploy import formula_network_ratio
 
 
 def blob_split(seed, n_train=400, n_test=200):
@@ -623,6 +624,7 @@ def test_whole_loop_keeps_its_invariants_on_random_nets(net, groups, step, targe
             assert (rows == rows[0]).all(), (layer.name, gid)
     final = report["final"]
     assert final["network_ratio"] == final["network_dead_fraction"]
+    assert final["network_ratio"] == formula_network_ratio(pruned)
     for kind, ratio, target in zip(("conv2d", "fc"), ("conv_ratio", "fc_ratio"), targets):
         if any(layer.ratio_kind == kind for layer in pruned.layers):
             assert final[ratio] >= target - 1e-9, kind

@@ -12,13 +12,15 @@ layer after conv1 and no conv2 bias, so its pruned fc is deployed as a
 group layer), each fine-tuned first, and perfbench's planted 64-channel
 net (``build_wide_net``) at 16x16 and 32x32. The toy net is pruned with
 ``--finetune local+global``, the every-kind net with ``--finetune
-global``, the wide nets with ``--finetune none``, and each pruned model
-is then deployed, reported with ``--json`` and evaluated; each net also runs a
-two-cell sweep. Every command runs in-process through ``sgconv.cli.main``
-on relative paths, so no temporary path reaches an output. The listing
+global``, the wide nets with ``--finetune none``. Each pruned model is
+then reported with ``--json`` (the ratios of masked layers, which pass
+the group rule) and deployed, and the deployed model is reported with
+``--json`` and evaluated; each net also runs a two-cell sweep. Every
+command runs in-process through ``sgconv.cli.main`` on relative paths,
+so no temporary path reaches an output. The listing
 digests the model manifests and blobs, each prune report's ``schedule``
 block and, apart from it, the rest of the report without its ``timings``
-(wall times vary), the report JSON, the sweep CSVs and each command's
+(wall times vary), both report JSONs, the sweep CSVs and each command's
 stdout. A change to the schedule's settings thus differs in one line per
 net and leaves the rest of the report provably unchanged. BLAS is pinned
 to one thread, since its kernel choice may depend on the thread count.
@@ -104,6 +106,8 @@ def flow(net: str, size: int, train_flags: list, prune_flags: list) -> dict:
     stdout = {
         "prune": run(["prune", "--model", net, "--data", f"{net}-train.sgd",
                       "--out", pruned, *train_flags, *prune_flags]),
+        "pruned report": run(["report", "--model", pruned, "--json",
+                              f"{pruned}-report.json"]),
         "deploy": run(["deploy", "--model", pruned, "--out", deployed]),
         "report": run(["report", "--model", deployed, "--json", f"{net}-report.json"]),
         "eval": run(["eval", "--model", deployed, "--data", f"{net}-test.sgd"]),
@@ -120,7 +124,8 @@ def flow(net: str, size: int, train_flags: list, prune_flags: list) -> dict:
         f"{pruned}.report schedule": sha(json.dumps(schedule, sort_keys=True).encode()),
         f"{pruned}.report (no schedule, timings)":
             sha(json.dumps(report, sort_keys=True).encode()),
-        f"{net}-report.json": sha(Path(f"{net}-report.json").read_bytes()),
+        **{name: sha(Path(name).read_bytes())
+           for name in (f"{pruned}-report.json", f"{net}-report.json")},
         f"{net}-sweep.csv": sha(Path(f"{net}-sweep.csv").read_bytes()),
     })
     digests.update({f"{net} {command} stdout": sha(text.encode())
